@@ -30,9 +30,6 @@ class RFMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.entries
-
     def is_valid(self) -> bool:
         """Re-check the defining conditions from scratch."""
         gens = self.semigroup.generators

@@ -37,8 +37,6 @@ class NumericalSemigroup:
 
     ``apery_table[i]`` is the least element congruent to i modulo the
     multiplicity; every membership question reduces to one table lookup.
-    ``membership_bitmap`` covers [0, conductor + max generator] and exists only
-    so tests can cross-check against independent oracles.
     """
 
     generators: tuple[int, ...]
@@ -47,7 +45,6 @@ class NumericalSemigroup:
     frobenius: int = field(compare=False)
     conductor: int = field(compare=False)
     apery_table: tuple[int, ...] = field(compare=False, repr=False)
-    membership_bitmap: tuple[bool, ...] = field(compare=False, repr=False)
 
     def __str__(self) -> str:
         return "<" + ",".join(map(str, self.generators)) + ">"
@@ -144,14 +141,11 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     if g != 1:
         raise NotNumerical(cleaned, g)
 
-    minimal = _minimal_system(cleaned)
-    m = minimal[0]
-    apery = _apery_by_residue(minimal, m)
+    m = cleaned[0]
+    apery = _apery_by_residue(cleaned, m)
+    minimal = _minimal_system(cleaned, apery)
     frobenius = max(apery) - m  # equals -1 for S = N
     conductor = frobenius + 1
-
-    bound = conductor + minimal[-1]
-    bitmap = tuple(n >= apery[n % m] for n in range(bound + 1))
 
     sg = NumericalSemigroup(
         generators=minimal,
@@ -160,35 +154,26 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         frobenius=frobenius,
         conductor=conductor,
         apery_table=apery,
-        membership_bitmap=bitmap,
     )
     if sg.embedding_dimension > sg.multiplicity:  # pragma: no cover
         raise AssertionError(f"e(S) > m(S) for {sg}; construction bug")
     return sg
 
 
-def _minimal_system(gens: list[int]) -> tuple[int, ...]:
-    """(S \\ {0}) minus sums of two nonzero elements, restricted to the input."""
-    if gens[0] == 1:
-        return (1,)
-    top = gens[-1]
-    member = [False] * (top + 1)
-    member[0] = True
-    for v in range(1, top + 1):
-        for g in gens:
-            if g > v:
-                break
-            if member[v - g]:
-                member[v] = True
-                break
-    out = []
+def _minimal_system(gens: list[int], apery: tuple[int, ...]) -> tuple[int, ...]:
+    """The input generators that are not sums of two nonzero elements of S.
+
+    ``gens`` is sorted and ``apery`` is the Apéry table of S modulo gens[0].
+    A generator g is a sum of two nonzero elements iff g - h lies in S for
+    some smaller minimal generator h, and every minimal generator below g is
+    found before g, so each test is at most m table lookups.
+    """
+    m = gens[0]
+    minimal: list[int] = []
     for g in gens:
-        decomposable = any(
-            member[a] and member[g - a] for a in range(gens[0], g - gens[0] + 1)
-        )
-        if not decomposable:
-            out.append(g)
-    return tuple(out)
+        if all(g - h < apery[(g - h) % m] for h in minimal):
+            minimal.append(g)
+    return tuple(minimal)
 
 
 def _apery_by_residue(gens: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:

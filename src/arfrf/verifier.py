@@ -4,12 +4,23 @@ The oracles deliberately re-derive everything from first principles (dynamic
 programming, definitional scans, cofactor expansion) so they share no code
 with the primary implementations they check.
 
-Claims are registered under stable ids. A sweep produces a ClaimReport whose
-status is "pass", "fail", or "mismatch-with-details"; the last means every
-observed discrepancy matches a pre-registered fixture shipped with the
-package (two suspected typos and one single-instance omission in the
-closed-form tables, each carrying the enumerated correction). Reports are
-deterministic: same config, same bytes.
+Claims are rows of the ``CLAIMS`` table, under stable ids. A row names a
+grid (the bounds echoed in the report), a universe and a check:
+
+- a universe walks the instances for a config and yields ``(semigroup,
+  where, spec)``; ``where`` locates the instance in a counterexample. There
+  are four: the multiplicity<=5 families, the med shapes, med plus the
+  seeded Arf-closure samples, and seeded random generator sets.
+- a check takes one instance and returns ``(units checked, problems)``.
+
+``_sweep`` is the one loop: it builds the ClaimReport, walks the universe,
+turns problems into counterexamples or grouped table mismatches, and
+finalizes the status as "pass", "fail", or "mismatch-with-details"; the last
+means every observed discrepancy matches a pre-registered fixture shipped
+with the package (two suspected typos and one single-instance omission in
+the closed-form tables, each carrying the enumerated correction). A claim
+that checked nothing fails. Reports are deterministic: same config, same
+bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from functools import reduce
 from importlib import resources
 from math import gcd
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import families
 from .errors import GridTooLarge, UnknownClaim
@@ -38,10 +50,12 @@ from .rfmatrix import (
     find_frobenius_det_witness,
     iter_rf_matrices,
     rf_matrices,
+    rf_row_choices,
 )
 from .semigroup import NumericalSemigroup, from_generators
 
 DEFAULT_SEED = 1729
+CLOSURE_MULTIPLICITIES = (6, 7, 8)  # of the Arf-closure samples
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +152,6 @@ class VerifyConfig:
     med_m_max: int = 10
     med_s_factor: int = 10
     closure_samples: int = 100
-    closure_multiplicities: tuple[int, ...] = (6, 7, 8)
     oracle_samples: int = 1000
     seed: int = DEFAULT_SEED
     grid_cap: int = 1000
@@ -146,6 +159,9 @@ class VerifyConfig:
     families: str = "all"  # Conj5.3 scope: "arf-m-le-5", "med", or "all"
 
     def __post_init__(self) -> None:
+        for name, least in (("s_max", 1), ("med_s_factor", 1), ("med_m_min", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}; got {getattr(self, name)}")
         if self.families not in ("all", "arf-m-le-5", "med"):
             raise ValueError(
                 f"families must be one of all, arf-m-le-5, med; got {self.families!r}"
@@ -177,8 +193,8 @@ _CONFIG_INT_KEYS = {
 def parse_config_text(text: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment. Returns raw settings.
 
-    Recognized keys: the VerifyConfig integers, ``fixtures`` (path), and
-    ``claims`` (comma-separated claim ids or "default").
+    Recognized keys: the VerifyConfig integers, ``families``, ``fixtures``
+    (path), and ``claims`` (comma-separated claim ids or "default").
     """
     settings: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,20 +278,7 @@ def aggregate_ok(reports) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sweep helpers
-
-
-def _m_le_5_specs(config: VerifyConfig, multiplicities=(2, 3, 4, 5)):
-    for variant in families.M_LE_5_VARIANTS:
-        if families.VARIANT_MULTIPLICITY[variant] not in multiplicities:
-            continue
-        yield from families.family_instances(variant, config.s_max)
-
-
-def _med_specs(config: VerifyConfig):
-    for m in range(config.med_m_min, config.med_m_max + 1):
-        s_values = [m * t for t in range(1, config.med_s_factor + 1)]
-        yield from families.med_instances(m, s_values)
+# sampling
 
 
 def sample_arf_closures(
@@ -326,300 +329,207 @@ def _spec_dict(spec: families.FamilySpec) -> dict:
     return d
 
 
+def _rows(matrix) -> list[list[int]]:
+    return [list(r) for r in matrix.entries]
+
+
 # ---------------------------------------------------------------------------
-# claim runners
+# universes: each yields (semigroup, where, spec)
 
 
-def _run_closed_form(claim_id, description, variants, config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id=claim_id,
-        description=description,
-        grid={"variants": list(variants), "s_max": config.s_max},
-    )
-    loci: dict[tuple[str, str], dict] = {}
+def _family_universe(config: VerifyConfig, variants):
+    """Multiplicity<=5 family instances up to ``s_max``, variant by variant."""
     for variant in variants:
         for spec in families.family_instances(variant, config.s_max):
-            sg = families.build_family(spec)
-            if not sg.is_arf():
-                report.counterexamples.append(
-                    {"spec": _spec_dict(spec), "problem": "family instance is not Arf"}
-                )
-                continue
-            pf = sg.pseudo_frobenius().elements
-            if pf != families.closed_form_pf(spec):
-                report.counterexamples.append(
-                    {
-                        "spec": _spec_dict(spec),
-                        "problem": "pseudo-Frobenius set differs from the table",
-                        "computed": list(pf),
-                        "tabulated": list(families.closed_form_pf(spec)),
-                    }
-                )
-                continue
-            for f in pf:
-                report.checked += 1
-                enum = {m.entries for m in iter_rf_matrices(sg, f)}
-                closed = set(families.closed_form_rf(spec, f))
-                if enum == closed:
-                    continue
-                label = families.pf_label(spec, f)
-                locus = loci.setdefault(
-                    (variant, label),
-                    {
-                        "variant": variant,
-                        "pf_label": label,
-                        "instances": 0,
-                        "s_values": [],
-                        "example": {
-                            "spec": _spec_dict(spec),
-                            "f": f,
-                            "formula_only": sorted(closed - enum),
-                            "enumeration_only": sorted(enum - closed),
-                        },
-                    },
-                )
-                locus["instances"] += 1
-                if spec.s not in locus["s_values"]:
-                    locus["s_values"].append(spec.s)
-    report.mismatches = [loci[k] for k in sorted(loci)]
-    return report
+            yield families.build_family(spec), {"spec": _spec_dict(spec)}, spec
 
 
-def _run_det_witness(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Cor3.13",
-        description="every multiplicity<=5 family instance has an RF matrix of the "
-        "Frobenius number with |det| equal to the Frobenius number",
-        grid={"multiplicities": [2, 3, 4, 5], "s_max": config.s_max},
-    )
-    for spec in _m_le_5_specs(config):
-        sg = families.build_family(spec)
-        report.checked += 1
-        witness = find_frobenius_det_witness(sg)
-        if witness is None:
-            report.counterexamples.append(
-                {"spec": _spec_dict(spec), "problem": "no determinant witness"}
-            )
-    return report
+def _med_universe(config: VerifyConfig):
+    """med shapes <m, s+1, ..., s+m-1> with s in {m, 2m, ..., med_s_factor*m}."""
+    for m in range(config.med_m_min, config.med_m_max + 1):
+        s_values = [m * t for t in range(1, config.med_s_factor + 1)]
+        for spec in families.med_instances(m, s_values):
+            yield families.build_family(spec), {"spec": _spec_dict(spec)}, spec
 
 
-def _run_lemma41(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Lemma4.1",
-        description="generators m, s+1, ..., s+m-1 with m | s give an Arf semigroup "
-        "with the expected invariants",
-        grid=_med_grid(config),
-    )
-    for spec in _med_specs(config):
-        sg = families.build_family(spec)
-        report.checked += 1
-        expected_gens = families.family_generators(spec)
-        problems = []
-        if not sg.is_arf():
-            problems.append("not Arf")
-        if sg.generators != expected_gens:
-            problems.append(f"minimal generators {sg.generators} != {expected_gens}")
-        if sg.pseudo_frobenius().elements != families.closed_form_pf(spec):
-            problems.append("pseudo-Frobenius set differs from the table")
-        if problems:
-            report.counterexamples.append({"spec": _spec_dict(spec), "problem": problems})
-    return report
+def _big_multiplicity_universe(config: VerifyConfig):
+    """The med instances, then the seeded Arf-closure samples."""
+    for sg, where, spec in _med_universe(config):
+        yield sg, {"semigroup": list(sg.generators), "origin": where["spec"]}, spec
+    origin = {"origin": "arf-closure-sample", "seed": config.seed}
+    for sg in sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed):
+        yield sg, {"semigroup": list(sg.generators), "origin": origin}, None
 
 
-def _run_prop42(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Prop4.2",
-        description="the formula matrix of each PF element of a med-family instance "
-        "appears among the enumerated RF matrices",
-        grid=_med_grid(config),
-    )
-    from .rfmatrix import rf_row_choices
-
-    for spec in _med_specs(config):
-        sg = families.build_family(spec)
-        for f in families.closed_form_pf(spec):
-            report.checked += 1
-            [formula] = families.closed_form_rf(spec, f)
-            choices = rf_row_choices(sg, f)
-            for i, row in enumerate(formula):
-                if row not in choices[i]:
-                    report.counterexamples.append(
-                        {
-                            "spec": _spec_dict(spec),
-                            "f": f,
-                            "problem": f"formula row {i + 1} = {row} is not a valid "
-                            "row factorization",
-                        }
-                    )
-                    break
-    return report
+def _random_universe(config: VerifyConfig):
+    """Seeded random generator sets; the spec is (input generators, 4 probe values)."""
+    rng = random.Random(config.seed + 1)
+    for gens in random_semigroups(config.oracle_samples, config.seed):
+        probes = [rng.randint(0, 500) for _ in range(4)]
+        yield from_generators(gens), {"gens": list(gens)}, (gens, probes)
 
 
-def _run_cor43(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Cor4.3",
-        description="for med-family instances the k=1 formula matrix of the Frobenius "
-        "number has determinant exactly (-1)^(m-1) (s-1)",
-        grid=_med_grid(config),
-    )
-    for spec in _med_specs(config):
-        report.checked += 1
-        matrix = families.cor_det_matrix(spec)
-        m, s = spec.m, spec.s
-        det = determinant(matrix)
-        if det != (-1) ** (m - 1) * (s - 1):
-            report.counterexamples.append(
-                {
-                    "spec": _spec_dict(spec),
-                    "problem": f"det {det} != (-1)^(m-1)(s-1) = {(-1) ** (m - 1) * (s - 1)}",
-                }
-            )
-    return report
+def _scope_universe(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False):
+    """The multiplicity<=5 variants of the given multiplicities, then (if ``med``) med."""
+    variants = [v for v in families.M_LE_5_VARIANTS
+                if families.VARIANT_MULTIPLICITY[v] in multiplicities]
+    yield from _family_universe(config, variants)
+    if med:
+        yield from _med_universe(config)
 
 
-def _run_remark44(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Remark4.4",
-        description="Arf semigroups with multiplicity above 5: at least three "
-        "generators reach the conductor, w(m-1) = s - sbar + m - 1, and "
-        "w(1) is s+1 or s - sbar + m + 1",
-        grid={**_med_grid(config), "closure_samples": config.closure_samples},
-    )
-    for sg, origin in _big_multiplicity_instances(config):
-        report.checked += 1
-        m, s = sg.multiplicity, sg.conductor
-        sbar = s % m
-        problems = []
-        if sum(1 for g in sg.generators if g >= s) < 3:
-            problems.append("fewer than 3 generators reach the conductor")
-        if sg.apery_table[(m - 1) % m] != s - sbar + m - 1:
-            problems.append(
-                f"w(m-1) = {sg.apery_table[(m - 1) % m]} != {s - sbar + m - 1}"
-            )
-        if sg.apery_table[1 % m] not in (s + 1, s - sbar + m + 1):
-            problems.append(f"w(1) = {sg.apery_table[1 % m]} not in expected pair")
-        if problems:
-            report.counterexamples.append(
-                {"semigroup": list(sg.generators), "origin": origin, "problem": problems}
-            )
-    return report
+def _med_grid(config: VerifyConfig) -> dict:
+    return {"med_m": [config.med_m_min, config.med_m_max], "med_s": f"m..{config.med_s_factor}m"}
 
 
-def _run_lemma45(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Lemma4.5",
-        description="for Arf semigroups with multiplicity above 5, every RF matrix of "
-        "the Frobenius number has a column with two zero entries",
-        grid={**_med_grid(config), "closure_samples": config.closure_samples},
-    )
-    for sg, origin in _big_multiplicity_instances(config):
-        for matrix in iter_rf_matrices(sg, sg.frobenius):
-            report.checked += 1
-            if column_zero_pair(matrix) is None:
-                report.counterexamples.append(
-                    {
-                        "semigroup": list(sg.generators),
-                        "origin": origin,
-                        "matrix": [list(r) for r in matrix.entries],
-                    }
-                )
-                break
-    return report
-
-
-def _run_thm52(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Thm5.2-equiv",
-        description="over every swept Arf instance: some RF matrix of F(S) has "
-        "|det| = F(S) iff some RF matrix has [V(S):W(S)] = 1; index and "
-        "determinant stay consistent matrix by matrix",
-        grid={**_med_grid(config), "s_max": config.s_max},
-    )
-    specs = list(_m_le_5_specs(config)) + list(_med_specs(config))
-    for spec in specs:
-        sg = families.build_family(spec)
-        V = kernel_lattice(sg)
-        f = sg.frobenius
-        report.checked += 1
-        has_det_witness = False
-        has_index_one = False
-        for matrix in iter_rf_matrices(sg, f):
-            det = determinant(matrix)
-            W = rf_difference_lattice(sg, matrix)
-            idx = lattice_index(W, V)
-            if abs(det) == f:
-                has_det_witness = True
-            if idx == 1:
-                has_index_one = True
-            expected = None if det == 0 else abs(det) // f if abs(det) % f == 0 else -1
-            if (idx is None) != (det == 0) or (idx is not None and idx != expected):
-                report.counterexamples.append(
-                    {
-                        "spec": _spec_dict(spec),
-                        "matrix": [list(r) for r in matrix.entries],
-                        "problem": f"index {idx} inconsistent with det {det}",
-                    }
-                )
-        if has_det_witness != has_index_one:
-            report.counterexamples.append(
-                {
-                    "spec": _spec_dict(spec),
-                    "problem": f"det witness {has_det_witness} but index-1 witness "
-                    f"{has_index_one}",
-                }
-            )
-    return report
-
-
-def _run_sign_conjecture(claim_id, description, use_small, use_med, config) -> ClaimReport:
+def _scope_grid(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False) -> dict:
     grid: dict = {}
-    if use_small:
-        grid["multiplicities"] = [2, 3, 4, 5]
-        grid["s_max"] = config.s_max
-    if use_med:
+    if multiplicities:
+        grid = {"multiplicities": list(multiplicities), "s_max": config.s_max}
+    if med:
         grid.update(_med_grid(config))
-    report = ClaimReport(claim_id=claim_id, description=description, grid=grid)
-    specs = []
-    if use_small:
-        specs += list(_m_le_5_specs(config))
-    if use_med:
-        specs += list(_med_specs(config))
-    for spec in specs:
-        sg = families.build_family(spec)
-        report.checked += 1
-        result = check_sign_conjecture(sg)
-        if not result.holds:
-            report.counterexamples.append(
-                {
-                    "spec": _spec_dict(spec),
-                    "problem": f"no RF matrix of {sg.frobenius} has determinant "
-                    f"{result.target}",
-                }
-            )
-    return report
+    return grid
 
 
-def _run_thm56(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Thm5.6",
-        description="Arf semigroups with multiplicity 2 or 3 are generic",
-        grid={"multiplicities": [2, 3], "s_max": config.s_max},
-    )
-    for spec in _m_le_5_specs(config, multiplicities=(2, 3)):
-        sg = families.build_family(spec)
-        report.checked += 1
-        verdict = is_generic(sg)
-        if not verdict.generic:
-            report.counterexamples.append(
-                {"spec": _spec_dict(spec), "problem": verdict.describe()}
+def _closure_grid(config: VerifyConfig) -> dict:
+    return {**_med_grid(config), "closure_samples": config.closure_samples}
+
+
+def _conj53_scope(config: VerifyConfig) -> dict:
+    """Conj5.3 sweeps the families named by ``config.families``."""
+    return {
+        "multiplicities": () if config.families == "med" else (2, 3, 4, 5),
+        "med": config.families != "arf-m-le-5",
+    }
+
+
+# ---------------------------------------------------------------------------
+# checks: (semigroup, spec) -> (units checked, problems)
+#
+# A problem is a dict merged into the instance's ``where`` to form a
+# counterexample. A problem carrying a ``locus`` (variant, PF label) is a
+# closed-form table mismatch instead; the sweep groups those by locus.
+
+
+def _check_closed_form(sg, spec):
+    if not sg.is_arf():
+        return 0, [{"problem": "family instance is not Arf"}]
+    pf = sg.pseudo_frobenius().elements
+    tabulated = families.closed_form_pf(spec)
+    if pf != tabulated:
+        problem = "pseudo-Frobenius set differs from the table"
+        return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(tabulated)}]
+    problems = []
+    for f in pf:
+        enum = {m.entries for m in iter_rf_matrices(sg, f)}
+        closed = set(families.closed_form_rf(spec, f))
+        if enum != closed:
+            locus = (spec.variant, families.pf_label(spec, f))
+            problems.append({"locus": locus, "f": f, "formula_only": sorted(closed - enum),
+                             "enumeration_only": sorted(enum - closed)})
+    return len(pf), problems
+
+
+def _check_det_witness(sg, spec):
+    if find_frobenius_det_witness(sg) is None:
+        return 1, [{"problem": "no determinant witness"}]
+    return 1, []
+
+
+def _check_med_invariants(sg, spec):
+    expected_gens = families.family_generators(spec)
+    problems = []
+    if not sg.is_arf():
+        problems.append("not Arf")
+    if sg.generators != expected_gens:
+        problems.append(f"minimal generators {sg.generators} != {expected_gens}")
+    if sg.pseudo_frobenius().elements != families.closed_form_pf(spec):
+        problems.append("pseudo-Frobenius set differs from the table")
+    return 1, [{"problem": problems}] if problems else []
+
+
+def _check_formula_rows(sg, spec):
+    pf = families.closed_form_pf(spec)
+    problems = []
+    for f in pf:
+        [formula] = families.closed_form_rf(spec, f)
+        choices = rf_row_choices(sg, f)
+        for i, row in enumerate(formula):
+            if row not in choices[i]:
+                problem = f"formula row {i + 1} = {row} is not a valid row factorization"
+                problems.append({"f": f, "problem": problem})
+                break
+    return len(pf), problems
+
+
+def _check_cor_det(sg, spec):
+    det = determinant(families.cor_det_matrix(spec))
+    expected = (-1) ** (spec.m - 1) * (spec.s - 1)
+    if det != expected:
+        return 1, [{"problem": f"det {det} != (-1)^(m-1)(s-1) = {expected}"}]
+    return 1, []
+
+
+def _check_apery_shape(sg, spec):
+    m, s = sg.multiplicity, sg.conductor
+    sbar = s % m
+    w = sg.apery_table
+    problems = []
+    if sum(1 for g in sg.generators if g >= s) < 3:
+        problems.append("fewer than 3 generators reach the conductor")
+    if w[(m - 1) % m] != s - sbar + m - 1:
+        problems.append(f"w(m-1) = {w[(m - 1) % m]} != {s - sbar + m - 1}")
+    if w[1 % m] not in (s + 1, s - sbar + m + 1):
+        problems.append(f"w(1) = {w[1 % m]} not in expected pair")
+    return 1, [{"problem": problems}] if problems else []
+
+
+def _check_zero_pairs(sg, spec):
+    checked = 0
+    for matrix in iter_rf_matrices(sg, sg.frobenius):
+        checked += 1
+        if column_zero_pair(matrix) is None:
+            return checked, [{"matrix": _rows(matrix)}]
+    return checked, []
+
+
+def _check_index_vs_det(sg, spec):
+    V = kernel_lattice(sg)
+    f = sg.frobenius
+    problems = []
+    has_det_witness = has_index_one = False
+    for matrix in iter_rf_matrices(sg, f):
+        det = determinant(matrix)
+        idx = lattice_index(rf_difference_lattice(sg, matrix), V)
+        has_det_witness |= abs(det) == f
+        has_index_one |= idx == 1
+        expected = None if det == 0 else abs(det) // f if abs(det) % f == 0 else -1
+        if (idx is None) != (det == 0) or (idx is not None and idx != expected):
+            problems.append(
+                {"matrix": _rows(matrix), "problem": f"index {idx} inconsistent with det {det}"}
             )
-    return report
+    if has_det_witness != has_index_one:
+        problem = f"det witness {has_det_witness} but index-1 witness {has_index_one}"
+        problems.append({"problem": problem})
+    return 1, problems
+
+
+def _check_sign_witness(sg, spec):
+    result = check_sign_conjecture(sg)
+    if result.holds:
+        return 1, []
+    return 1, [{"problem": f"no RF matrix of {sg.frobenius} has determinant {result.target}"}]
+
+
+def _check_generic(sg, spec):
+    verdict = is_generic(sg)
+    return 1, [] if verdict.generic else [{"problem": verdict.describe()}]
 
 
 def _recheck_nongeneric_witness(sg, verdict) -> str | None:
     """Re-derive a non-generic witness from scratch; None when it checks out."""
     if verdict.generic:
-        return "verdict claims generic"
+        return "reported generic"
     if verdict.nonunique is not None:
         f, m1, m2 = verdict.nonunique
         if m1.entries == m2.entries:
@@ -639,174 +549,168 @@ def _recheck_nongeneric_witness(sg, verdict) -> str | None:
     return None
 
 
-def _run_thm57(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="Thm5.7",
-        description="Arf semigroups with multiplicity above 3 are not generic, with "
-        "re-checkable witnesses",
-        grid={"multiplicities": [4, 5], "s_max": config.s_max, **_med_grid(config)},
-    )
-    specs = list(_m_le_5_specs(config, multiplicities=(4, 5))) + list(_med_specs(config))
-    for spec in specs:
-        sg = families.build_family(spec)
-        report.checked += 1
-        verdict = is_generic(sg)
-        if verdict.generic:
-            report.counterexamples.append(
-                {"spec": _spec_dict(spec), "problem": "reported generic"}
-            )
-            continue
-        problem = _recheck_nongeneric_witness(sg, verdict)
-        if problem is not None:
-            report.counterexamples.append({"spec": _spec_dict(spec), "problem": problem})
-    return report
+def _check_not_generic(sg, spec):
+    problem = _recheck_nongeneric_witness(sg, is_generic(sg))
+    return 1, [] if problem is None else [{"problem": problem}]
 
 
-def _run_oracles(config: VerifyConfig) -> ClaimReport:
-    report = ClaimReport(
-        claim_id="OracleAgreement",
-        description="membership, pseudo-Frobenius, factorization-count and "
-        "determinant oracles agree with the primary implementations on "
-        "seeded random generator sets",
-        grid={
-            "samples": config.oracle_samples,
-            "max_generator": 60,
-            "max_embedding_dimension": 6,
-            "value_cap": 500,
-            "seed": config.seed,
-        },
-    )
-    rng = random.Random(config.seed + 1)
-    for gens in random_semigroups(config.oracle_samples, config.seed):
-        sg = from_generators(gens)
-        report.checked += 1
-        top = sg.conductor + 2 * sg.generators[-1]
-        table = _reach_table(list(gens), top)
-        bad_n = [n for n in range(top + 1) if table[n] != sg.contains(n)]
-        if bad_n:
-            report.counterexamples.append(
-                {"gens": list(gens), "problem": f"membership differs at {bad_n[:5]}"}
-            )
-            continue
-        if oracle_pf(gens) != sg.pseudo_frobenius().elements:
-            report.counterexamples.append(
-                {"gens": list(gens), "problem": "pseudo-Frobenius sets differ"}
-            )
-            continue
-        probe_values = {0, 1, sg.multiplicity, sg.conductor, sg.conductor + 1}
-        if sg.frobenius > 0:
-            probe_values.add(sg.frobenius)
-        probe_values.update(rng.randint(0, 500) for _ in range(4))
-        for n in sorted(probe_values):
-            if n > 500:
-                continue
-            if len(factorization_vectors(sg, n)) != count_factorizations(sg, n):
-                report.counterexamples.append(
-                    {"gens": list(gens), "problem": f"factorization count differs at {n}"}
+def _check_oracles(sg, spec):
+    gens, probes = spec
+    top = sg.conductor + 2 * sg.generators[-1]
+    table = _reach_table(list(gens), top)
+    bad_n = [n for n in range(top + 1) if table[n] != sg.contains(n)]
+    if bad_n:
+        return 1, [{"problem": f"membership differs at {bad_n[:5]}"}]
+    if oracle_pf(gens) != sg.pseudo_frobenius().elements:
+        return 1, [{"problem": "pseudo-Frobenius sets differ"}]
+    problems = []
+    probe_values = {0, 1, sg.multiplicity, sg.conductor, sg.conductor + 1, *probes}
+    if sg.frobenius > 0:
+        probe_values.add(sg.frobenius)
+    for n in sorted(probe_values):
+        if n <= 500 and len(factorization_vectors(sg, n)) != count_factorizations(sg, n):
+            problems.append({"problem": f"factorization count differs at {n}"})
+            break
+    pf = sg.pseudo_frobenius().elements
+    if pf and sg.embedding_dimension <= 5:
+        for matrix in rf_matrices(sg, pf[-1])[:3]:
+            if determinant(matrix) != cofactor_determinant(matrix.entries):
+                problems.append(
+                    {"problem": "determinant oracles disagree", "matrix": _rows(matrix)}
                 )
-                break
-        pf = sg.pseudo_frobenius().elements
-        if pf and sg.embedding_dimension <= 5:
-            for matrix in rf_matrices(sg, pf[-1])[:3]:
-                if determinant(matrix) != cofactor_determinant(matrix.entries):
-                    report.counterexamples.append(
-                        {
-                            "gens": list(gens),
-                            "problem": "determinant oracles disagree",
-                            "matrix": [list(r) for r in matrix.entries],
-                        }
-                    )
-    return report
-
-
-def _med_grid(config: VerifyConfig) -> dict:
-    return {
-        "med_m": [config.med_m_min, config.med_m_max],
-        "med_s": f"m..{config.med_s_factor}m",
-    }
-
-
-def _big_multiplicity_instances(config: VerifyConfig):
-    for spec in _med_specs(config):
-        yield families.build_family(spec), _spec_dict(spec)
-    for sg in sample_arf_closures(
-        config.closure_samples, config.closure_multiplicities, config.seed
-    ):
-        yield sg, {"origin": "arf-closure-sample", "seed": config.seed}
+    return 1, problems
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the claim table and the sweep engine
 
 
-def _closed_form_claim(claim_id: str):
-    variants = families.CLAIM_VARIANTS[claim_id]
-    desc = f"closed-form RF tables match enumeration for variants {', '.join(variants)}"
-    return lambda config: _run_closed_form(claim_id, desc, variants, config)
+@dataclass(frozen=True, slots=True)
+class Claim:
+    """One row of the claim table: what a sweep walks and what it checks."""
+
+    description: str
+    grid: Callable[[VerifyConfig], dict]
+    universe: Callable[[VerifyConfig], Iterable[tuple]]
+    check: Callable[[NumericalSemigroup, object], tuple[int, list[dict]]]
 
 
-CLAIMS: dict = {}
-for _cid in families.CLAIM_VARIANTS:
-    CLAIMS[_cid] = _closed_form_claim(_cid)
-CLAIMS["Props3.1-3.12"] = lambda config: _run_closed_form(
-    "Props3.1-3.12",
-    "closed-form RF tables match enumeration for every multiplicity<=5 variant",
-    families.M_LE_5_VARIANTS,
-    config,
-)
-CLAIMS["Cor3.13"] = _run_det_witness
-CLAIMS["Lemma4.1"] = _run_lemma41
-CLAIMS["Prop4.2"] = _run_prop42
-CLAIMS["Cor4.3"] = _run_cor43
-CLAIMS["Remark4.4"] = _run_remark44
-CLAIMS["Lemma4.5"] = _run_lemma45
-CLAIMS["Thm5.2-equiv"] = _run_thm52
-CLAIMS["Conj5.3"] = lambda config: _run_sign_conjecture(
-    "Conj5.3",
-    "an RF matrix of F(S) with determinant exactly (-1)^(e+1) F(S) exists",
-    config.families in ("all", "arf-m-le-5"),
-    config.families in ("all", "med"),
-    config,
-)
-CLAIMS["Thm5.4.1"] = lambda config: _run_sign_conjecture(
-    "Thm5.4.1",
-    "sign-exact determinant witness over the multiplicity<=5 families",
-    True,
-    False,
-    config,
-)
-CLAIMS["Thm5.4.2"] = lambda config: _run_sign_conjecture(
-    "Thm5.4.2",
-    "sign-exact determinant witness over the med families",
-    False,
-    True,
-    config,
-)
-CLAIMS["Thm5.6"] = _run_thm56
-CLAIMS["Thm5.7"] = _run_thm57
-CLAIMS["OracleAgreement"] = _run_oracles
+def _closed_form_claim(description: str, variants) -> Claim:
+    return Claim(
+        description,
+        lambda c: {"variants": list(variants), "s_max": c.s_max},
+        lambda c: _family_universe(c, variants),
+        _check_closed_form,
+    )
 
-DEFAULT_SUITE = (
-    "Props3.1-3.12",
-    "Cor3.13",
-    "Lemma4.1",
-    "Prop4.2",
-    "Cor4.3",
-    "Remark4.4",
-    "Lemma4.5",
-    "Thm5.2-equiv",
-    "Conj5.3",
-    "Thm5.4.1",
-    "Thm5.4.2",
-    "Thm5.6",
-    "Thm5.7",
-    "OracleAgreement",
-)
+
+CLAIMS: dict[str, Claim] = {
+    **{
+        cid: _closed_form_claim(
+            f"closed-form RF tables match enumeration for variants {', '.join(variants)}",
+            variants,
+        )
+        for cid, variants in families.CLAIM_VARIANTS.items()
+    },
+    "Props3.1-3.12": _closed_form_claim(
+        "closed-form RF tables match enumeration for every multiplicity<=5 variant",
+        families.M_LE_5_VARIANTS,
+    ),
+    "Cor3.13": Claim(
+        "every multiplicity<=5 family instance has an RF matrix of the Frobenius "
+        "number with |det| equal to the Frobenius number",
+        _scope_grid, _scope_universe, _check_det_witness),
+    "Lemma4.1": Claim(
+        "generators m, s+1, ..., s+m-1 with m | s give an Arf semigroup with the "
+        "expected invariants",
+        _med_grid, _med_universe, _check_med_invariants),
+    "Prop4.2": Claim(
+        "the formula matrix of each PF element of a med-family instance appears "
+        "among the enumerated RF matrices",
+        _med_grid, _med_universe, _check_formula_rows),
+    "Cor4.3": Claim(
+        "for med-family instances the k=1 formula matrix of the Frobenius number "
+        "has determinant exactly (-1)^(m-1) (s-1)",
+        _med_grid, _med_universe, _check_cor_det),
+    "Remark4.4": Claim(
+        "Arf semigroups with multiplicity above 5: at least three generators reach "
+        "the conductor, w(m-1) = s - sbar + m - 1, and w(1) is s+1 or s - sbar + m + 1",
+        _closure_grid, _big_multiplicity_universe, _check_apery_shape),
+    "Lemma4.5": Claim(
+        "for Arf semigroups with multiplicity above 5, every RF matrix of the "
+        "Frobenius number has a column with two zero entries",
+        _closure_grid, _big_multiplicity_universe, _check_zero_pairs),
+    "Thm5.2-equiv": Claim(
+        "over every swept Arf instance: some RF matrix of F(S) has |det| = F(S) iff "
+        "some RF matrix has [V(S):W(S)] = 1; index and determinant stay consistent "
+        "matrix by matrix",
+        lambda c: {**_med_grid(c), "s_max": c.s_max},
+        lambda c: _scope_universe(c, med=True),
+        _check_index_vs_det),
+    "Conj5.3": Claim(
+        "an RF matrix of F(S) with determinant exactly (-1)^(e+1) F(S) exists",
+        lambda c: _scope_grid(c, **_conj53_scope(c)),
+        lambda c: _scope_universe(c, **_conj53_scope(c)),
+        _check_sign_witness),
+    "Thm5.4.1": Claim(
+        "sign-exact determinant witness over the multiplicity<=5 families",
+        _scope_grid, _scope_universe, _check_sign_witness),
+    "Thm5.4.2": Claim(
+        "sign-exact determinant witness over the med families",
+        _med_grid, _med_universe, _check_sign_witness),
+    "Thm5.6": Claim(
+        "Arf semigroups with multiplicity 2 or 3 are generic",
+        lambda c: _scope_grid(c, (2, 3)),
+        lambda c: _scope_universe(c, (2, 3)),
+        _check_generic),
+    "Thm5.7": Claim(
+        "Arf semigroups with multiplicity above 3 are not generic, with "
+        "re-checkable witnesses",
+        lambda c: _scope_grid(c, (4, 5), med=True),
+        lambda c: _scope_universe(c, (4, 5), med=True),
+        _check_not_generic),
+    "OracleAgreement": Claim(
+        "membership, pseudo-Frobenius, factorization-count and determinant oracles "
+        "agree with the primary implementations on seeded random generator sets",
+        lambda c: {"samples": c.oracle_samples, "max_generator": 60,
+                   "max_embedding_dimension": 6, "value_cap": 500, "seed": c.seed},
+        _random_universe, _check_oracles),
+}
+
+# every claim in table order, with Props3.1-3.12 standing for its twelve single-claim splits
+DEFAULT_SUITE = tuple(cid for cid in CLAIMS if cid not in families.CLAIM_VARIANTS)
 
 SUITES = {
     "default": {},
     "quick": {"s_max": 60, "med_m_max": 8, "closure_samples": 25, "oracle_samples": 100},
 }
+
+
+def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimReport:
+    """Check every instance of the claim's universe and finalize the report."""
+    claim = CLAIMS[claim_id]
+    report = ClaimReport(claim_id=claim_id, description=claim.description, grid=claim.grid(config))
+    loci: dict[tuple[str, str], dict] = {}
+    for sg, where, spec in claim.universe(config):
+        checked, problems = claim.check(sg, spec)
+        report.checked += checked
+        for problem in problems:
+            if "locus" not in problem:
+                report.counterexamples.append({**where, **problem})
+                continue
+            variant, label = key = problem.pop("locus")
+            locus = loci.setdefault(key, {"variant": variant, "pf_label": label, "instances": 0,
+                                          "s_values": [], "example": {**where, **problem}})
+            locus["instances"] += 1
+            if spec.s not in locus["s_values"]:
+                locus["s_values"].append(spec.s)
+    report.mismatches = [loci[k] for k in sorted(loci)]
+    report.finalize(fixtures)
+    if not report.checked:
+        # an empty universe proves nothing, so it must not read as a pass
+        report.status = "fail"
+        report.notes.append("checked nothing")
+    return report
 
 
 def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> ClaimReport:
@@ -815,8 +719,7 @@ def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> ClaimRepo
     if claim_id not in CLAIMS:
         raise UnknownClaim(f"unknown claim id {claim_id!r}; known: {sorted(CLAIMS)}")
     config.check_caps()
-    fixtures = load_fixtures(config.fixtures_path)
-    return CLAIMS[claim_id](config).finalize(fixtures)
+    return _sweep(claim_id, config, load_fixtures(config.fixtures_path))
 
 
 def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from arfrf.cli import main, render_binomial, render_monomial
 from arfrf.lattice import Binomial
 
@@ -276,6 +278,34 @@ class TestVerifyCommand:
             capsys, "verify", "--config", str(cfg), "--report-dir", str(tmp_path)
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "args, config, expected",
+        [
+            (["--claim", "Prop3.1", "--claim", "Cor3.13", "--s-max", "-5"], None, 4),
+            (["--claim", "Lemma4.1"], "med_s_factor = 0", 4),
+            (["--claim", "Lemma4.1"], "med_m_min = 1", 4),
+            (["--claim", "Remark4.4", "--samples", "0", "--m-max", "5"], None, 1),
+            ([], "claims = OracleAgreement\noracle_samples = 0", 1),
+        ],
+    )
+    def test_empty_or_invalid_grid_never_passes(
+        self, capsys, tmp_path, args, config, expected
+    ):
+        if config is not None:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(config + "\n")
+            args = [*args, "--config", str(cfg)]
+        code, out, err = run_cli(
+            capsys, "verify", *args, "--report-dir", str(tmp_path / "r")
+        )
+        assert code == expected
+        if expected == 1:
+            [report] = [p for p in (tmp_path / "r").iterdir() if p.name != "summary.json"]
+            doc = json.loads(report.read_text())
+            assert (doc["status"], doc["checked"], doc["notes"]) == (
+                "fail", 0, ["checked nothing"]
+            )
 
     def test_reports_byte_identical(self, capsys, tmp_path):
         for sub in ("a", "b"):

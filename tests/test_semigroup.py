@@ -1,10 +1,14 @@
+import random
+from functools import reduce
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfrf.errors import NotMember, NotNumerical
 from arfrf.semigroup import from_generators
-from arfrf.verifier import _reach_table, oracle_pf
+from arfrf.verifier import _reach_table, oracle_membership, oracle_pf
 
 
 def gen_sets(max_value=40, max_size=5):
@@ -37,6 +41,21 @@ class TestConstruction:
         sg = from_generators([2, 3, 4])
         assert sg.generators == (2, 3)
         assert sg.frobenius == 1
+
+    def test_minimal_system_matches_definition(self):
+        """A kept generator is no sum of two nonzero members; a dropped one is."""
+        rng = random.Random(7)
+        checked = 0
+        while checked < 100:
+            gens = sorted({rng.randint(2, 80) for _ in range(rng.randint(2, 8))})
+            if reduce(gcd, gens) != 1:
+                continue
+            member = [oracle_membership(gens, a) for a in range(gens[-1] + 1)]
+            expected = tuple(
+                g for g in gens if not any(member[a] and member[g - a] for a in range(1, g))
+            )
+            assert from_generators(gens).generators == expected, gens
+            checked += 1
 
     def test_mcnugget(self):
         gens = (6, 9, 20)

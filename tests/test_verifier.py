@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from arfrf.cli import main
 from arfrf.errors import GridTooLarge, UnknownClaim
 from arfrf.rfmatrix import rf_matrices
 from arfrf.semigroup import from_generators
@@ -183,3 +185,18 @@ class TestRemarkAndLemma:
         for sg in sample_arf_closures(5, (6, 7), seed=11):
             for matrix in rf_matrices(sg, sg.frobenius):
                 assert column_zero_pair(matrix) is not None
+
+
+def test_golden_reports_byte_identical(tmp_path, capsys):
+    """The default suite at the QUICK bounds reproduces the pinned reports."""
+    data = Path(__file__).parent / "data"
+    code = main(["verify", "--config", str(data / "golden_quick.cfg"),
+                 "--report-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    golden = data / "golden_quick"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in golden.iterdir()
+    )
+    for path in golden.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
