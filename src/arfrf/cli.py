@@ -29,22 +29,22 @@ from . import verifier
 from .errors import (
     ArfrfError,
     GridTooLarge,
-    NotNumerical,
     NotPseudoFrobenius,
     TooManyMatrices,
     UnknownClaim,
 )
 from .lattice import (
+    binomial_from_vector,
     is_generic,
     kernel_lattice,
     lattice_index,
     rf_difference_lattice,
-    rf_relations,
 )
 from .rfmatrix import (
     check_sign_conjecture,
     determinant,
     find_frobenius_det_witness,
+    iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
 )
@@ -160,7 +160,7 @@ def cmd_rf(args, argv) -> int:
             if args.dets:
                 block["determinants"] = [determinant(M) for M in matrices]
             for idx, M in enumerate(matrices):
-                suffix = f"   det = {determinant(M)}" if args.dets else ""
+                suffix = f"   det = {block['determinants'][idx]}" if args.dets else ""
                 lines.append(f"  matrix {idx + 1}{suffix}")
                 lines.extend("    " + row for row in format_matrix(M.entries))
         blocks.append(block)
@@ -178,7 +178,8 @@ def cmd_rf(args, argv) -> int:
             lines.append(f"no RF matrix of F = {sg.frobenius} with |det| = F")
         else:
             lines.append(
-                f"witness with |det| = F = {sg.frobenius}: det = {determinant(witness)}"
+                f"witness with |det| = F = {sg.frobenius}: "
+                f"det = {payload['det_witness_value']}"
             )
             lines.extend("  " + row for row in format_matrix(witness.entries))
             lines.append(
@@ -236,14 +237,18 @@ def cmd_relations(args, argv) -> int:
         print("error: no pseudo-Frobenius numbers (S covers all of N)", file=sys.stderr)
         return 3
     frob = sg.frobenius
+    if args.max_rf is not None:
+        count = rf_matrix_count(sg, frob)
+        if count > args.max_rf:
+            raise TooManyMatrices(count, args.max_rf)
     witness = find_frobenius_det_witness(sg)
     note = None
     if witness is None:
-        witness = rf_matrices(sg, frob, max_matrices=args.max_rf)[0]
+        witness = next(iter_rf_matrices(sg, frob))
         note = "no |det| = F witness exists; using the first RF matrix instead"
-    relations = rf_relations(sg, witness)
     V = kernel_lattice(sg)
     W = rf_difference_lattice(sg, witness)
+    relations = [binomial_from_vector(d) for d in W.generators]
     index = lattice_index(W, V)
     e = sg.embedding_dimension
     pairs = [(i, j) for i in range(e) for j in range(i + 1, e)]
@@ -253,12 +258,8 @@ def cmd_relations(args, argv) -> int:
         "matrix": [list(r) for r in witness.entries],
         "determinant": determinant(witness),
         "row_differences": [
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "vector": [a - b for a, b in zip(witness.entries[i], witness.entries[j])],
-            }
-            for i, j in pairs
+            {"i": i + 1, "j": j + 1, "vector": list(d)}
+            for (i, j), d in zip(pairs, W.generators)
         ],
         "relations": [
             {
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="RF relations, W(S) and [V(S):W(S)]")
     add_common(p)
-    p.add_argument("--max-rf", type=int, default=None)
+    p.add_argument("--max-rf", type=int, default=None, help="cap on the RF(F) count")
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("closure", help="smallest Arf semigroup containing <generators>")
@@ -461,19 +462,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except NotNumerical as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotPseudoFrobenius as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TooManyMatrices as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except ArfrfError as exc:
+    except (ValueError, ArfrfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,11 +85,6 @@ def hermite_normal_form(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tup
     return tuple(tuple(r) for r in rows[:rank])
 
 
-def hnf_contains(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    """Membership test against a Hermite-form basis."""
-    return hnf_coordinates(basis, vector) is not None
-
-
 def hnf_coordinates(
     basis: Sequence[Sequence[int]], vector: Sequence[int]
 ) -> tuple[int, ...] | None:

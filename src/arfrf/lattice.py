@@ -14,7 +14,6 @@ from .errors import DimensionMismatch, NotSublattice
 from .intmat import (
     bareiss_determinant,
     hermite_normal_form,
-    hnf_contains,
     hnf_coordinates,
     kernel_basis,
 )
@@ -53,7 +52,7 @@ class IntegerLattice:
     def contains(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.dim:
             raise DimensionMismatch(f"vector length {len(vector)} != dim {self.dim}")
-        return hnf_contains(self.basis, vector)
+        return hnf_coordinates(self.basis, vector) is not None
 
     __contains__ = contains
 
@@ -108,20 +107,20 @@ def rf_difference_lattice(sg: NumericalSemigroup, matrix: RFMatrix) -> IntegerLa
 def lattice_index(sub: IntegerLattice, ambient: IntegerLattice) -> int | None:
     """[ambient : sub], or None when the index is infinite (rank drop).
 
-    Checks the sublattice relation, expresses sub's canonical basis in
-    ambient's coordinates (an integer back-substitution against the
-    triangular basis) and returns the absolute determinant of that
-    change-of-basis matrix.
+    Expresses sub's canonical basis in ambient's coordinates (an integer
+    back-substitution against the triangular basis) and returns the absolute
+    determinant of that change-of-basis matrix. Containment is checked on the
+    same reductions: the Hermite basis spans sub, so sub lies in ambient iff
+    every basis vector does.
     """
     if sub.dim != ambient.dim:
         raise DimensionMismatch(f"dimensions differ: {sub.dim} != {ambient.dim}")
     coords = []
-    for v in sub.generators:
+    for v in sub.basis:
         c = hnf_coordinates(ambient.basis, v)
         if c is None:
-            raise NotSublattice(f"generator {v} lies outside the ambient lattice")
-    for v in sub.basis:
-        coords.append(hnf_coordinates(ambient.basis, v))
+            raise NotSublattice(f"basis vector {v} lies outside the ambient lattice")
+        coords.append(c)
     if sub.rank < ambient.rank:
         return None
     return abs(bareiss_determinant(coords))
@@ -159,16 +158,7 @@ def binomial_from_vector(vector: Sequence[int]) -> Binomial:
 
 def rf_relations(sg: NumericalSemigroup, matrix: RFMatrix) -> list[Binomial]:
     """The e(e-1)/2 binomials built from pairwise RF row differences, ordered by (i, j)."""
-    rows = matrix.entries
-    e = len(rows)
-    out = []
-    for i in range(e):
-        for j in range(i + 1, e):
-            d = [a - b for a, b in zip(rows[i], rows[j])]
-            b = binomial_from_vector(d)
-            assert degree(sg, [p - m for p, m in zip(b.plus, b.minus)]) == 0
-            out.append(b)
-    return out
+    return [binomial_from_vector(d) for d in rf_difference_lattice(sg, matrix).generators]
 
 
 @dataclass(frozen=True, slots=True)

@@ -95,6 +95,8 @@ class NumericalSemigroup:
 
     def is_arf(self) -> bool:
         """Closed under x, y -> 2x - y for y <= x; pairs above the conductor are automatic."""
+        if not self.is_med():  # every Arf semigroup has maximal embedding dimension
+            return False
         smalls = self.small_elements()
         for xi, x in enumerate(smalls):
             for y in smalls[: xi + 1]:

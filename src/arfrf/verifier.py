@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field, asdict
 from functools import reduce
 from importlib import resources
+from itertools import islice
 from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable
@@ -49,7 +50,6 @@ from .rfmatrix import (
     determinant,
     find_frobenius_det_witness,
     iter_rf_matrices,
-    rf_matrices,
     rf_row_choices,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -573,7 +573,7 @@ def _check_oracles(sg, spec):
             break
     pf = sg.pseudo_frobenius().elements
     if pf and sg.embedding_dimension <= 5:
-        for matrix in rf_matrices(sg, pf[-1])[:3]:
+        for matrix in islice(iter_rf_matrices(sg, pf[-1]), 3):
             if determinant(matrix) != cofactor_determinant(matrix.entries):
                 problems.append(
                     {"problem": "determinant oracles disagree", "matrix": _rows(matrix)}

@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,13 @@ class TestRelations:
     def test_naturals_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "relations", "1")
         assert code == 3
+
+    def test_cap_exit_5_before_witness_scan(self, capsys):
+        gens = [str(n) for n in (10, *range(31, 40))]  # 2,880 RF(F) matrices
+        code, out, err = run_cli(capsys, "relations", *gens, "--max-rf", "1")
+        assert code == 5
+        assert "2880" in err and "cap 1" in err
+        assert out == ""
 
 
 class TestClosure:
@@ -330,3 +339,45 @@ def test_module_entrypoint_subprocess(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["payload"]["frobenius"] == 3
     assert proc.stderr == ""
+
+
+def _run_child_measured(argv, timeout=30.0, address_space=1 << 30):
+    """Run the CLI in a child process capped at ``address_space`` bytes.
+
+    Returns (exit code, wall seconds, peak RSS in MB) of that child alone:
+    ``os.wait4`` reports the reaped child's own usage, where RUSAGE_CHILDREN
+    would also count every earlier child of the test process. The child is
+    killed after ``timeout`` seconds.
+    """
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arfrf", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=limit_memory,
+    )
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            break
+        if time.perf_counter() - start > timeout:
+            proc.kill()
+            _, status, usage = os.wait4(proc.pid, 0)
+            break
+        time.sleep(0.02)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("gens", [("101", "1000003"), ("3", "1000000")])
+def test_analyze_cost_follows_multiplicity(gens):
+    code, wall, rss_mb = _run_child_measured(["analyze", *gens, "--format", "json"])
+    assert code == 0
+    assert wall <= 10.0
+    assert rss_mb <= 100.0

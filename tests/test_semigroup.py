@@ -213,7 +213,12 @@ class TestMedArf:
 
 
 def _brute_force_arf_closure_smalls(gens):
-    """Intersect every Arf oversemigroup obtained by filling gaps below c(S)."""
+    """The least Arf oversemigroup obtained by filling gaps below c(S).
+
+    Arf oversemigroups are closed under intersection, so the least one is the
+    unique one that adds the fewest gaps: the search is exhaustive up to the
+    first size that admits one, and checks that exactly one exists there.
+    """
     from itertools import combinations
 
     sg = from_generators(gens)
@@ -227,22 +232,22 @@ def _brute_force_arf_closure_smalls(gens):
         )
 
     def is_arf(smalls):
-        ok = True
         for x in smalls:
             for y in smalls:
-                if y <= x:
-                    z = 2 * x - y
-                    if z < c and z not in smalls:
-                        ok = False
-        return ok
+                if y <= x and 2 * x - y < c and 2 * x - y not in smalls:
+                    return False
+        return True
 
-    best = set(range(c))
     for r in range(len(gaps) + 1):
+        found = []
         for extra in combinations(gaps, r):
             cand = base | set(extra)
             if is_semigroup(cand) and is_arf(cand):
-                best &= cand
-    return best
+                found.append(cand)
+        if found:
+            assert len(found) == 1, f"{len(found)} Arf oversemigroups add {r} gaps"
+            return found[0]
+    raise AssertionError("unreachable: filling every gap gives N, which is Arf")
 
 
 class TestArfClosure:
