@@ -151,11 +151,14 @@ def cmd_rf(args, argv) -> int:
     blocks = []
     lines = [f"S = <{', '.join(map(str, sg.generators))}>   PF = {list(pf)}"]
     for f in targets:
-        count = rf_matrix_count(sg, f)
+        if args.count_only:
+            count = rf_matrix_count(sg, f)
+        else:
+            matrices = rf_matrices(sg, f, max_matrices=args.max_rf)
+            count = len(matrices)
         block: dict = {"pf_element": f, "count": count}
         lines.append(f"RF({f}): {count} {'matrix' if count == 1 else 'matrices'}")
         if not args.count_only:
-            matrices = rf_matrices(sg, f, max_matrices=args.max_rf)
             block["matrices"] = [[list(r) for r in M.entries] for M in matrices]
             if args.dets:
                 block["determinants"] = [determinant(M) for M in matrices]

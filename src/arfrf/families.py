@@ -1,10 +1,14 @@
 """Parametrized Arf semigroup families and their tabulated closed-form RF matrices.
 
-Variant tags encode multiplicity and the conductor's residue class; each
-variant knows its generator pattern, its pseudo-Frobenius elements and, for
-every PF element, the closed-form RF matrix list as tabulated. The closed
-forms are reproduced verbatim, typos included: the verifier's job is to
-diff them against exhaustive enumeration, not to editorialize.
+Variant tags encode multiplicity and the conductor's residue class. Each
+multiplicity <= 5 variant is one row of ``VARIANTS``: its multiplicity, the
+residue and least value of its conductor, its generator pattern, the builder
+of its closed-form RF table and, for the two 4k+2 variants, the largest k.
+The RF table maps every PF element to its RF matrix list as tabulated, so the
+predicted PF set is read off its keys. The "med" variant, whose multiplicity
+is part of the spec, has its own formulas. The closed forms are reproduced
+verbatim, typos included: the verifier's job is to diff them against
+exhaustive enumeration, not to editorialize.
 
 A closed form is stored as a list of templates; a template is one per-row
 choice list whose Cartesian product (row-major) yields matrices. Templates
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .errors import InvalidFamily, NotPseudoFrobenius
 from .semigroup import NumericalSemigroup, from_generators
@@ -39,7 +45,7 @@ class FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# validation + generator patterns
+# validation + the readers of a variant's table row
 
 
 def _need(cond: bool, message: str) -> None:
@@ -50,112 +56,34 @@ def _need(cond: bool, message: str) -> None:
 def _resolve(spec: FamilySpec) -> tuple[str, int, int, int | None]:
     """Validate a spec and return (variant, m, s, k)."""
     v, s, k = spec.variant, spec.s, spec.k
-    if v not in VARIANT_MULTIPLICITY and v != "med":
-        raise InvalidFamily(f"unknown family variant {v!r}")
     if v == "med":
         m = spec.m
         _need(m is not None and m >= 2, "med variant needs a multiplicity m >= 2")
         _need(s >= m and s % m == 0, f"med variant needs s >= m and s % m == 0, got s={s}, m={m}")
         _need(k is None, "med variant takes no k")
         return v, m, s, None
-    m = VARIANT_MULTIPLICITY[v]
+    row = VARIANTS.get(v)
+    if row is None:
+        raise InvalidFamily(f"unknown family variant {v!r}")
+    m = row.m
     _need(spec.m in (None, m), f"variant {v} has multiplicity {m}, got m={spec.m}")
-    if v == "m2":
-        _need(s >= 2 and s % 2 == 0, f"m2 needs a positive even conductor, got s={s}")
-    elif v == "m3_0":
-        _need(s >= 3 and s % 3 == 0, f"m3_0 needs s >= 3 with s % 3 == 0, got s={s}")
-    elif v == "m3_2":
-        _need(s > 3 and s % 3 == 2, f"m3_2 needs s > 3 with s % 3 == 2, got s={s}")
-    elif v == "m4_0k":
-        _need(s >= 8 and s % 4 == 0, f"m4_0k needs s >= 8 with s % 4 == 0, got s={s}")
-        _need(k is not None and 1 <= k < s // 4, f"m4_0k needs 1 <= k < s/4, got k={k}, s={s}")
-    elif v == "m4_0full":
-        _need(s >= 4 and s % 4 == 0, f"m4_0full needs s >= 4 with s % 4 == 0, got s={s}")
-    elif v == "m4_2k":
-        _need(s > 4 and s % 4 == 2, f"m4_2k needs s > 4 with s % 4 == 2, got s={s}")
-        _need(
-            k is not None and 1 <= k <= (s - 2) // 4,
-            f"m4_2k needs 1 <= k <= (s-2)/4, got k={k}, s={s}",
-        )
-    elif v == "m4_3":
-        _need(s > 4 and s % 4 == 3, f"m4_3 needs s > 4 with s % 4 == 3, got s={s}")
-    elif v == "m5_0a":
-        _need(s > 5 and s % 5 == 0, f"m5_0a needs s > 5 with s % 5 == 0, got s={s}")
-    elif v == "m5_0b":
-        _need(s >= 5 and s % 5 == 0, f"m5_0b needs s >= 5 with s % 5 == 0, got s={s}")
-    elif v == "m5_2":
-        _need(s > 5 and s % 5 == 2, f"m5_2 needs s > 5 with s % 5 == 2, got s={s}")
-    elif v == "m5_3":
-        _need(s > 5 and s % 5 == 3, f"m5_3 needs s > 5 with s % 5 == 3, got s={s}")
-    elif v in ("m5_4a", "m5_4b"):
-        _need(s > 5 and s % 5 == 4, f"{v} needs s > 5 with s % 5 == 4, got s={s}")
-    if v not in ("m4_0k", "m4_2k"):
+    _need(
+        s >= row.least_s and s % m == row.residue,
+        f"{v} needs s >= {row.least_s} with s % {m} == {row.residue}, got s={s}",
+    )
+    if row.k_max is None:
         _need(k is None, f"variant {v} takes no k")
+    else:
+        k_max = row.k_max(s)
+        _need(k is not None and 1 <= k <= k_max, f"{v} needs 1 <= k <= {k_max}, got k={k}, s={s}")
     return v, m, s, k
-
-
-VARIANT_MULTIPLICITY = {
-    "m2": 2,
-    "m3_0": 3,
-    "m3_2": 3,
-    "m4_0k": 4,
-    "m4_0full": 4,
-    "m4_2k": 4,
-    "m4_3": 4,
-    "m5_0a": 5,
-    "m5_0b": 5,
-    "m5_2": 5,
-    "m5_3": 5,
-    "m5_4a": 5,
-    "m5_4b": 5,
-}
-
-M_LE_5_VARIANTS = tuple(VARIANT_MULTIPLICITY)
-
-# claim ids for the multiplicity <= 5 tabulations
-CLAIM_VARIANTS = {
-    "Prop3.1": ("m2",),
-    "Prop3.2": ("m3_0",),
-    "Prop3.3": ("m3_2",),
-    "Prop3.4": ("m4_0k",),
-    "Prop3.5": ("m4_0full",),
-    "Prop3.6": ("m4_2k", "m4_3"),
-    "Prop3.7": ("m5_0b",),
-    "Prop3.8": ("m5_0a",),
-    "Prop3.9": ("m5_2",),
-    "Prop3.10": ("m5_3",),
-    "Prop3.11": ("m5_4a",),
-    "Prop3.12": ("m5_4b",),
-}
 
 
 def family_generators(spec: FamilySpec) -> tuple[int, ...]:
     v, m, s, k = _resolve(spec)
-    if v == "m2":
-        return (2, s + 1)
-    if v == "m3_0":
-        return (3, s + 1, s + 2)
-    if v == "m3_2":
-        return (3, s, s + 2)
-    if v in ("m4_0k", "m4_2k"):
-        return tuple(sorted((4, 4 * k + 2, s + 1, s + 3)))
-    if v == "m4_0full":
-        return (4, s + 1, s + 2, s + 3)
-    if v == "m4_3":
-        return (4, s, s + 2, s + 3)
-    if v == "m5_0a":
-        return (5, s - 2, s + 1, s + 2, s + 4)
-    if v == "m5_0b":
-        return (5, s + 1, s + 2, s + 3, s + 4)
-    if v == "m5_2":
-        return (5, s, s + 1, s + 2, s + 4)
-    if v == "m5_3":
-        return (5, s, s + 1, s + 3, s + 4)
-    if v == "m5_4a":
-        return (5, s - 2, s, s + 2, s + 4)
-    if v == "m5_4b":
-        return (5, s, s + 2, s + 3, s + 4)
-    return (m, *range(s + 1, s + m))  # med
+    if v == "med":
+        return (m, *range(s + 1, s + m))
+    return VARIANTS[v].generators(s, k)
 
 
 def build_family(spec: FamilySpec) -> NumericalSemigroup:
@@ -169,30 +97,15 @@ def build_family(spec: FamilySpec) -> NumericalSemigroup:
 def closed_form_pf(spec: FamilySpec) -> tuple[int, ...]:
     """Pseudo-Frobenius elements predicted by the variant tables (sorted)."""
     v, m, s, k = _resolve(spec)
-    table = {
-        "m2": (s - 1,),
-        "m3_0": (s - 2, s - 1),
-        "m3_2": (s - 3, s - 1),
-        "m4_0full": (s - 3, s - 2, s - 1),
-        "m4_3": (s - 4, s - 2, s - 1),
-        "m5_0a": (s - 7, s - 4, s - 3, s - 1),
-        "m5_0b": (s - 4, s - 3, s - 2, s - 1),
-        "m5_2": (s - 5, s - 4, s - 3, s - 1),
-        "m5_3": (s - 5, s - 4, s - 2, s - 1),
-        "m5_4a": (s - 7, s - 5, s - 3, s - 1),
-        "m5_4b": (s - 5, s - 3, s - 2, s - 1),
-    }
-    if v in table:
-        return table[v]
-    if v in ("m4_0k", "m4_2k"):
-        return tuple(sorted((4 * k - 2, s - 3, s - 1)))
-    return tuple(range(s - m + 1, s))  # med
+    if v == "med":
+        return tuple(range(s - m + 1, s))
+    return tuple(sorted(VARIANTS[v].rf_table(s, k)))
 
 
 def pf_label(spec: FamilySpec, f: int) -> str:
     """Stable label of a PF element relative to the conductor (e.g. "s-1", "4k-2")."""
-    v, _, s, k = _resolve(spec)
-    if v in ("m4_0k", "m4_2k") and f == 4 * k - 2:
+    _, _, s, k = _resolve(spec)
+    if k is not None and f == 4 * k - 2:
         return "4k-2"
     if f >= s:
         raise NotPseudoFrobenius(f, closed_form_pf(spec))
@@ -233,12 +146,14 @@ def closed_form_rf(spec: FamilySpec, f: int) -> list[Matrix]:
     of the full enumeration.
     """
     v, m, s, k = _resolve(spec)
-    if f not in closed_form_pf(spec):
-        raise NotPseudoFrobenius(f, closed_form_pf(spec))
     if v == "med":
+        if not s - m < f < s:
+            raise NotPseudoFrobenius(f, closed_form_pf(spec))
         return [_med_matrix(m, s, s - f)]
-    builder = _RF_TABLES[v]
-    return _expand(builder(s, k)[f])
+    table = VARIANTS[v].rf_table(s, k)
+    if f not in table:
+        raise NotPseudoFrobenius(f, tuple(sorted(table)))
+    return _expand(table[f])
 
 
 def _med_matrix(m: int, s: int, k: int) -> Matrix:
@@ -294,72 +209,46 @@ def _m3_2(s, k):
     }
 
 
-def _m4_k_common(s, k):
-    """Rows shared by the two 4k+2 variants (residues 0 and 2 mod 4)."""
-    amax3 = (s + 2 * k) // (2 * (2 * k + 1))
-    bmax = s // (2 * (2 * k + 1))
-    rf_4k2 = [_rows((-1, 1, 0, 0), (2 * k, -1, 0, 0), (k - 1, 0, -1, 1), (k, 0, 1, -1))]
-    rf_s3 = [
-        [
-            [(-1, 0, 1, 0)],
-            [(k - 1, -1, 0, 1)],
-            [
-                (s // 2 - a - (2 * a - 1) * k, 2 * a - 1, -1, 0)
-                for a in range(1, amax3 + 1)
-            ],
-            [(s // 2 - b - 2 * b * k, 2 * b, 0, -1) for b in range(0, bmax + 1)],
-        ]
-    ]
-    return rf_4k2, rf_s3, bmax
-
-
-def _m4_0k(s, k):
-    rf_4k2, rf_s3, bmax = _m4_k_common(s, k)
-    amax1 = (s + 2 * k + 2) // (2 * (2 * k + 1))
-    rf_s1 = [
-        [
-            [(-1, 0, 0, 1)],
-            [(k, -1, 1, 0)],
-            [(s // 2 - b - 2 * b * k, 2 * b, -1, 0) for b in range(0, bmax + 1)],
-            [
-                (s // 2 - a + 1 - (2 * a - 1) * k, 2 * a - 1, 0, -1)
-                for a in range(1, amax1 + 1)
-            ],
-        ],
-        [
-            [(-1, 0, 0, 1)],
-            [(k, -1, 1, 0)],
-            [(s // 2 - b - 2 * b * k, 2 * b, -1, 0) for b in range(0, bmax + 1)],
-            [(0, 0, 2, -1)],
-        ],
-    ]
-    return {4 * k - 2: rf_4k2, s - 3: rf_s3, s - 1: rf_s1}
-
-
-def _m4_2k(s, k):
-    rf_4k2, rf_s3, bmax = _m4_k_common(s, k)
-    amax1 = (s + 2 * k + 2) // (2 * (2 * k + 1))
-    # first template's row 3 is tabulated as s/2 - b - b*k (its sibling variant
+def _m4_k(s, k, b3):
+    """The two 4k+2 variants, residues 0 and 2 mod 4. ``b3`` is the b-coefficient
+    of row 3 in the first s-1 template: 2 for residue 0, 1 for residue 2."""
+    # residue 2 tabulates that entry as s/2 - b - b*k (its sibling variant
     # and enumeration both have s/2 - b - 2*b*k); kept verbatim, the verifier
     # carries it as a pre-registered mismatch
-    rf_s1 = [
-        [
-            [(-1, 0, 0, 1)],
-            [(k, -1, 1, 0)],
-            [(s // 2 - b - b * k, 2 * b, -1, 0) for b in range(0, bmax + 1)],
+    amax1 = (s + 2 * k + 2) // (2 * (2 * k + 1))
+    amax3 = (s + 2 * k) // (2 * (2 * k + 1))
+    bmax = s // (2 * (2 * k + 1))
+    return {
+        4 * k - 2: [_rows((-1, 1, 0, 0), (2 * k, -1, 0, 0), (k - 1, 0, -1, 1), (k, 0, 1, -1))],
+        s - 3: [
             [
-                (s // 2 - a + 1 - (2 * a - 1) * k, 2 * a - 1, 0, -1)
-                for a in range(1, amax1 + 1)
+                [(-1, 0, 1, 0)],
+                [(k - 1, -1, 0, 1)],
+                [
+                    (s // 2 - a - (2 * a - 1) * k, 2 * a - 1, -1, 0)
+                    for a in range(1, amax3 + 1)
+                ],
+                [(s // 2 - b - 2 * b * k, 2 * b, 0, -1) for b in range(0, bmax + 1)],
+            ]
+        ],
+        s - 1: [
+            [
+                [(-1, 0, 0, 1)],
+                [(k, -1, 1, 0)],
+                [(s // 2 - b - b3 * b * k, 2 * b, -1, 0) for b in range(0, bmax + 1)],
+                [
+                    (s // 2 - a + 1 - (2 * a - 1) * k, 2 * a - 1, 0, -1)
+                    for a in range(1, amax1 + 1)
+                ],
+            ],
+            [
+                [(-1, 0, 0, 1)],
+                [(k, -1, 1, 0)],
+                [(s // 2 - b - 2 * b * k, 2 * b, -1, 0) for b in range(0, bmax + 1)],
+                [(0, 0, 2, -1)],
             ],
         ],
-        [
-            [(-1, 0, 0, 1)],
-            [(k, -1, 1, 0)],
-            [(s // 2 - b - 2 * b * k, 2 * b, -1, 0) for b in range(0, bmax + 1)],
-            [(0, 0, 2, -1)],
-        ],
-    ]
-    return {4 * k - 2: rf_4k2, s - 3: rf_s3, s - 1: rf_s1}
+    }
 
 
 def _m4_0full(s, k):
@@ -686,20 +575,64 @@ def _m5_4b(s, k):
     }
 
 
-_RF_TABLES = {
-    "m2": _m2,
-    "m3_0": _m3_0,
-    "m3_2": _m3_2,
-    "m4_0k": _m4_0k,
-    "m4_0full": _m4_0full,
-    "m4_2k": _m4_2k,
-    "m4_3": _m4_3,
-    "m5_0a": _m5_0a,
-    "m5_0b": _m5_0b,
-    "m5_2": _m5_2,
-    "m5_3": _m5_3,
-    "m5_4a": _m5_4a,
-    "m5_4b": _m5_4b,
+# ---------------------------------------------------------------------------
+# the variant table
+
+
+@dataclass(frozen=True, slots=True)
+class Variant:
+    """One multiplicity <= 5 variant as tabulated.
+
+    Legal conductors are s >= ``least_s`` with s % ``m`` == ``residue``; the
+    two 4k+2 variants also take 1 <= k <= ``k_max(s)``. ``generators(s, k)``
+    is the generator pattern and ``rf_table(s, k)`` maps each PF element to
+    its closed-form templates.
+    """
+
+    m: int
+    residue: int
+    least_s: int
+    generators: Callable[[int, int | None], tuple[int, ...]]
+    rf_table: Callable[[int, int | None], dict[int, list]]
+    k_max: Callable[[int], int] | None = None
+
+
+def _m4_k_generators(s, k):
+    return tuple(sorted((4, 4 * k + 2, s + 1, s + 3)))
+
+
+VARIANTS = {
+    "m2": Variant(2, 0, 2, lambda s, k: (2, s + 1), _m2),
+    "m3_0": Variant(3, 0, 3, lambda s, k: (3, s + 1, s + 2), _m3_0),
+    "m3_2": Variant(3, 2, 5, lambda s, k: (3, s, s + 2), _m3_2),
+    "m4_0k": Variant(4, 0, 8, _m4_k_generators, partial(_m4_k, b3=2), lambda s: s // 4 - 1),
+    "m4_0full": Variant(4, 0, 4, lambda s, k: (4, s + 1, s + 2, s + 3), _m4_0full),
+    "m4_2k": Variant(4, 2, 6, _m4_k_generators, partial(_m4_k, b3=1), lambda s: (s - 2) // 4),
+    "m4_3": Variant(4, 3, 7, lambda s, k: (4, s, s + 2, s + 3), _m4_3),
+    "m5_0a": Variant(5, 0, 10, lambda s, k: (5, s - 2, s + 1, s + 2, s + 4), _m5_0a),
+    "m5_0b": Variant(5, 0, 5, lambda s, k: (5, s + 1, s + 2, s + 3, s + 4), _m5_0b),
+    "m5_2": Variant(5, 2, 7, lambda s, k: (5, s, s + 1, s + 2, s + 4), _m5_2),
+    "m5_3": Variant(5, 3, 8, lambda s, k: (5, s, s + 1, s + 3, s + 4), _m5_3),
+    "m5_4a": Variant(5, 4, 9, lambda s, k: (5, s - 2, s, s + 2, s + 4), _m5_4a),
+    "m5_4b": Variant(5, 4, 9, lambda s, k: (5, s, s + 2, s + 3, s + 4), _m5_4b),
+}
+
+M_LE_5_VARIANTS = tuple(VARIANTS)
+
+# claim ids for the multiplicity <= 5 tabulations
+CLAIM_VARIANTS = {
+    "Prop3.1": ("m2",),
+    "Prop3.2": ("m3_0",),
+    "Prop3.3": ("m3_2",),
+    "Prop3.4": ("m4_0k",),
+    "Prop3.5": ("m4_0full",),
+    "Prop3.6": ("m4_2k", "m4_3"),
+    "Prop3.7": ("m5_0b",),
+    "Prop3.8": ("m5_0a",),
+    "Prop3.9": ("m5_2",),
+    "Prop3.10": ("m5_3",),
+    "Prop3.11": ("m5_4a",),
+    "Prop3.12": ("m5_4b",),
 }
 
 
@@ -708,32 +641,18 @@ _RF_TABLES = {
 
 
 def family_instances(variant: str, s_max: int) -> list[FamilySpec]:
-    """Every legal spec of the variant with conductor at most ``s_max``."""
-    out = []
+    """Every legal spec of the variant with conductor at most ``s_max``, by (s, k)."""
     if variant == "med":
         raise InvalidFamily("med sweeps are enumerated by med_instances(m, s_max)")
-    m = VARIANT_MULTIPLICITY[variant]
-    for s in range(2, s_max + 1):
-        if variant in ("m4_0k", "m4_2k"):
-            k_top = s // 4 - 1 if variant == "m4_0k" else (s - 2) // 4
-            for k in range(1, k_top + 1):
-                spec = FamilySpec(variant=variant, s=s, k=k)
-                if _legal(spec):
-                    out.append(spec)
+    row = VARIANTS[variant]
+    out = []
+    for s in range(row.least_s, s_max + 1, row.m):
+        if row.k_max is None:
+            out.append(FamilySpec(variant=variant, s=s))
         else:
-            spec = FamilySpec(variant=variant, s=s)
-            if _legal(spec):
-                out.append(spec)
+            out.extend(FamilySpec(variant=variant, s=s, k=k) for k in range(1, row.k_max(s) + 1))
     return out
 
 
 def med_instances(m: int, s_values) -> list[FamilySpec]:
     return [FamilySpec(variant="med", s=s, m=m) for s in s_values]
-
-
-def _legal(spec: FamilySpec) -> bool:
-    try:
-        _resolve(spec)
-    except InvalidFamily:
-        return False
-    return True

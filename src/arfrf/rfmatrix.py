@@ -9,6 +9,7 @@ slowest; per-row lists come out of the factorization engine largest-first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -65,10 +66,7 @@ def rf_row_choices(sg: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]
 
 def rf_matrix_count(sg: NumericalSemigroup, f: int) -> int:
     """Number of RF matrices of f: the product of the per-row choice counts."""
-    count = 1
-    for rows in rf_row_choices(sg, f):
-        count *= len(rows)
-    return count
+    return math.prod(len(rows) for rows in rf_row_choices(sg, f))
 
 
 def iter_rf_matrices(sg: NumericalSemigroup, f: int) -> Iterator[RFMatrix]:
@@ -85,11 +83,15 @@ def rf_matrices(
     ``max_matrices`` is a safety cap for front ends; enumeration itself is
     unbounded by default.
     """
+    choices = rf_row_choices(sg, f)
     if max_matrices is not None:
-        count = rf_matrix_count(sg, f)
+        count = math.prod(len(rows) for rows in choices)
         if count > max_matrices:
             raise TooManyMatrices(count, max_matrices)
-    return list(iter_rf_matrices(sg, f))
+    return [
+        RFMatrix(entries=combo, pf_element=f, semigroup=sg)
+        for combo in itertools.product(*choices)
+    ]
 
 
 def determinant(matrix: RFMatrix | Sequence[Sequence[int]]) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from importlib import resources
 from itertools import islice
@@ -178,16 +178,7 @@ class VerifyConfig:
             raise GridTooLarge(f"oracle_samples {self.oracle_samples} exceeds the cap 100000")
 
 
-_CONFIG_INT_KEYS = {
-    "s_max",
-    "med_m_min",
-    "med_m_max",
-    "med_s_factor",
-    "closure_samples",
-    "oracle_samples",
-    "seed",
-    "grid_cap",
-}
+_CONFIG_INT_KEYS = {f.name for f in fields(VerifyConfig) if f.type == "int"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -372,7 +363,7 @@ def _random_universe(config: VerifyConfig):
 def _scope_universe(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False):
     """The multiplicity<=5 variants of the given multiplicities, then (if ``med``) med."""
     variants = [v for v in families.M_LE_5_VARIANTS
-                if families.VARIANT_MULTIPLICITY[v] in multiplicities]
+                if families.VARIANTS[v].m in multiplicities]
     yield from _family_universe(config, variants)
     if med:
         yield from _med_universe(config)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from arfrf import rfmatrix
 from arfrf.cli import main, render_binomial, render_monomial
 from arfrf.lattice import Binomial
+from arfrf.rfmatrix import rf_row_choices
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -104,6 +106,20 @@ class TestRF:
         )
         assert code == 5
         assert "cap" in err
+
+    def test_row_choices_built_once_per_pf_element(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(sg, f):
+            calls.append(f)
+            return rf_row_choices(sg, f)
+
+        monkeypatch.setattr(rfmatrix, "rf_row_choices", counted)
+        code, _, _ = run_cli(
+            capsys, "rf", "5", "19", "21", "22", "23", "--dets", "--max-rf", "100"
+        )
+        assert code == 0
+        assert sorted(calls) == [14, 16, 17, 18]
 
     def test_witness_flag(self, capsys):
         code, doc, _ = run_json(capsys, "rf", "2", "5", "--witness")

@@ -155,3 +155,17 @@ class TestInstances:
         for variant in M_LE_5_VARIANTS:
             for spec in family_instances(variant, 30):
                 build_family(spec)
+
+    def test_instances_are_exactly_the_legal_specs(self):
+        # both directions, in (s, k) order: pins the table rows' bounds
+        for variant in M_LE_5_VARIANTS:
+            legal = []
+            for s in range(-2, 121):
+                for k in (None, *range(0, s + 1)):
+                    spec = FamilySpec(variant, s=s, k=k)
+                    try:
+                        build_family(spec)
+                    except InvalidFamily:
+                        continue
+                    legal.append(spec)
+            assert family_instances(variant, 120) == legal, variant
