@@ -2,12 +2,13 @@
 
 A semigroup is built once from a generator set; after that every instance is
 immutable and all queries are pure, so instances can be shared freely across
-threads.
+threads. The Arf test and the Arf closure both read the multiplicity sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -62,10 +63,6 @@ class NumericalSemigroup:
         m = self.multiplicity
         return sum((w - i) // m for i, w in enumerate(self.apery_table))
 
-    def small_elements(self) -> tuple[int, ...]:
-        """All elements strictly below the conductor (empty only for S = N)."""
-        return tuple(n for n in range(self.conductor) if self.contains(n))
-
     def apery_set(self, n: int) -> tuple[int, ...]:
         """Apéry set with respect to a nonzero element n, indexed by residue."""
         if n == 0 or not self.contains(n):
@@ -94,35 +91,23 @@ class NumericalSemigroup:
         return by_count
 
     def is_arf(self) -> bool:
-        """Closed under x, y -> 2x - y for y <= x; pairs above the conductor are automatic."""
+        """S is Arf iff it has the genus of Arf(S), read off the multiplicity sequence."""
         if not self.is_med():  # every Arf semigroup has maximal embedding dimension
             return False
-        smalls = self.small_elements()
-        for xi, x in enumerate(smalls):
-            for y in smalls[: xi + 1]:
-                if not self.contains(2 * x - y):
-                    return False
-        return True
+        seq = _multiplicity_sequence(self.generators)
+        return sum(seq) - len(seq) == self.genus()  # S lies inside Arf(S)
 
     def arf_closure(self) -> "NumericalSemigroup":
         """Smallest Arf numerical semigroup containing this one.
 
-        Fixpoint iteration: adjoin every missing 2x - y (y <= x below the
-        current conductor) and rebuild. Each pass removes at least one gap, so
-        the loop terminates.
+        Its elements below the conductor c = m_1 + ... + m_k are the partial
+        sums 0, m_1, m_1 + m_2, ... of the multiplicity sequence m_1, ..., m_k.
         """
-        current = self
-        while True:
-            smalls = current.small_elements()
-            missing = set()
-            for xi, x in enumerate(smalls):
-                for y in smalls[: xi + 1]:
-                    z = 2 * x - y
-                    if not current.contains(z):
-                        missing.add(z)
-            if not missing:
-                return current
-            current = from_generators(current.generators + tuple(missing))
+        seq = _multiplicity_sequence(self.generators)
+        if not seq:  # S = N
+            return self
+        *below, c = accumulate(seq)
+        return from_generators([*below, *range(c, c + seq[0])])
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
@@ -176,6 +161,19 @@ def _minimal_system(gens: list[int], apery: tuple[int, ...]) -> tuple[int, ...]:
         if all(g - h < apery[(g - h) % m] for h in minimal):
             minimal.append(g)
     return tuple(minimal)
+
+
+def _multiplicity_sequence(gens: Iterable[int]) -> list[int]:
+    """Multiplicities of <A>, <a, A - a>, ... (a = min A) until the semigroup is N.
+
+    Lipman's recursion Arf(<A>) = {0} u (a + Arf(<a, A - a>)), run as a loop.
+    Redundant generators are harmless: g - a stays in <a, A - a>.
+    """
+    current, seq = set(gens), []
+    while (a := min(current)) != 1:
+        seq.append(a)
+        current = {a} | {g - a for g in current if g != a}
+    return seq
 
 
 def _apery_by_residue(gens: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:

@@ -159,7 +159,8 @@ class VerifyConfig:
     families: str = "all"  # Conj5.3 scope: "arf-m-le-5", "med", or "all"
 
     def __post_init__(self) -> None:
-        for name, least in (("s_max", 1), ("med_s_factor", 1), ("med_m_min", 2)):
+        for name, least in (("s_max", 1), ("med_s_factor", 1), ("med_m_min", 2),
+                            ("closure_samples", 0), ("oracle_samples", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}; got {getattr(self, name)}")
         if self.families not in ("all", "arf-m-le-5", "med"):
@@ -172,8 +173,8 @@ class VerifyConfig:
             raise GridTooLarge(f"s_max {self.s_max} exceeds grid cap {self.grid_cap}")
         if self.med_m_max > 16:
             raise GridTooLarge(f"med_m_max {self.med_m_max} exceeds the cap 16")
-        if self.closure_samples > 10_000:
-            raise GridTooLarge(f"closure_samples {self.closure_samples} exceeds the cap 10000")
+        if self.closure_samples > 1_000:  # the sampler can draw only 1,207 closures
+            raise GridTooLarge(f"closure_samples {self.closure_samples} exceeds the cap 1000")
         if self.oracle_samples > 100_000:
             raise GridTooLarge(f"oracle_samples {self.oracle_samples} exceeds the cap 100000")
 

@@ -312,6 +312,8 @@ class TestVerifyCommand:
             (["--claim", "Lemma4.1"], "med_m_min = 1", 4),
             (["--claim", "Remark4.4", "--samples", "0", "--m-max", "5"], None, 1),
             ([], "claims = OracleAgreement\noracle_samples = 0", 1),
+            (["--claim", "Remark4.4", "--samples", "-1", "--m-max", "6"], None, 4),
+            ([], "claims = OracleAgreement\noracle_samples = -2", 4),
         ],
     )
     def test_empty_or_invalid_grid_never_passes(
@@ -391,9 +393,18 @@ def _run_child_measured(argv, timeout=30.0, address_space=1 << 30):
     return proc.returncode, wall, usage.ru_maxrss / 1024
 
 
-@pytest.mark.parametrize("gens", [("101", "1000003"), ("3", "1000000")])
+@pytest.mark.parametrize("gens", [("101", "1000003"), ("3", "1000000"), ("2", "1000001")])
 def test_analyze_cost_follows_multiplicity(gens):
     code, wall, rss_mb = _run_child_measured(["analyze", *gens, "--format", "json"])
+    assert code == 0
+    assert wall <= 10.0
+    assert rss_mb <= 100.0
+
+
+def test_closure_cost_follows_multiplicity():
+    code, wall, rss_mb = _run_child_measured(
+        ["closure", "13", "100003", "100011", "--format", "json"]
+    )
     assert code == 0
     assert wall <= 10.0
     assert rss_mb <= 100.0

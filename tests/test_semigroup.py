@@ -223,7 +223,7 @@ def _brute_force_arf_closure_smalls(gens):
 
     sg = from_generators(gens)
     c = sg.conductor
-    base = set(sg.small_elements())
+    base = {n for n in range(c) if sg.contains(n)}
     gaps = [n for n in range(c) if n not in base]
 
     def is_semigroup(smalls):
@@ -250,6 +250,22 @@ def _brute_force_arf_closure_smalls(gens):
     raise AssertionError("unreachable: filling every gap gives N, which is Arf")
 
 
+def _definitional_arf_closure(sg):
+    """Reference closure: adjoin every missing 2x - y (y <= x below the current
+    conductor) and rebuild until nothing is missing. Each pass fills a gap."""
+    while True:
+        smalls = [n for n in range(sg.conductor) if sg.contains(n)]
+        missing = {
+            2 * x - y
+            for xi, x in enumerate(smalls)
+            for y in smalls[: xi + 1]
+            if not sg.contains(2 * x - y)
+        }
+        if not missing:
+            return sg
+        sg = from_generators(sg.generators + tuple(missing))
+
+
 class TestArfClosure:
     def test_fixpoint_for_arf_input(self):
         sg = from_generators([3, 5, 7])
@@ -271,6 +287,17 @@ class TestArfClosure:
             brute = _brute_force_arf_closure_smalls(gens)
             c = from_generators(gens).conductor
             assert {n for n in range(c) if closure.contains(n)} == brute
+
+    @given(gen_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_definitional_fixpoint(self, gens):
+        sg = from_generators(gens)
+        reference = _definitional_arf_closure(sg)
+        closure = sg.arf_closure()
+        assert (closure.generators, closure.apery_table) == (
+            reference.generators, reference.apery_table
+        )
+        assert sg.is_arf() == (sg == reference)
 
     @given(gen_sets(max_value=25, max_size=4))
     @settings(max_examples=30, deadline=None)

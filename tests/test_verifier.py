@@ -74,6 +74,12 @@ class TestClaims:
         with pytest.raises(GridTooLarge):
             verify_claim("Prop3.1", VerifyConfig(s_max=5000))
 
+    def test_closure_samples_capped_below_the_draw_space(self):
+        # sample_arf_closures can draw only 1,207 distinct closures, so
+        # 2,000 would loop for ever instead of failing
+        with pytest.raises(GridTooLarge):
+            VerifyConfig(closure_samples=2000).check_caps()
+
     def test_single_prop_passes(self):
         report = verify_claim("Prop3.1", QUICK)
         assert report.status == "pass"
