@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from arfrf.families import FamilySpec, build_family, closed_form_pf, closed_form_rf
+from arfrf.families import FamilySpec, build_family, closed_form_table
 from arfrf.rfmatrix import determinant, rf_matrices
 
 
@@ -42,8 +42,8 @@ def main() -> int:
     sg = build_family(spec)
     print(f"S = <{', '.join(map(str, sg.generators))}>  conductor {sg.conductor}  "
           f"F = {sg.frobenius}")
-    for f in closed_form_pf(spec):
-        tabulated = set(closed_form_rf(spec, f))
+    for f, matrices in closed_form_table(spec).items():
+        tabulated = set(matrices)
         enumerated = {m.entries for m in rf_matrices(sg, f)}
         print(f"\nRF({f}): {len(tabulated)} tabulated, {len(enumerated)} enumerated")
         for matrix in sorted(enumerated | tabulated, reverse=True):

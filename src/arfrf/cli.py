@@ -14,7 +14,7 @@ Exit codes:
   3  invalid --pf selection (not a pseudo-Frobenius number), or no PF
      elements are available for the request
   4  verify configuration errors (bad config file, unknown claim,
-     oversized grid)
+     oversized grid, unreadable fixtures file, unusable report directory)
   5  RF enumeration exceeds the --max-rf safety cap
 """
 
@@ -39,6 +39,7 @@ from .lattice import (
     kernel_lattice,
     lattice_index,
     rf_difference_lattice,
+    row_differences,
 )
 from .rfmatrix import (
     check_sign_conjecture,
@@ -251,8 +252,9 @@ def cmd_relations(args, argv) -> int:
         note = "no |det| = F witness exists; using the first RF matrix instead"
     V = kernel_lattice(sg)
     W = rf_difference_lattice(sg, witness)
-    relations = [binomial_from_vector(d) for d in W.generators]
-    index = lattice_index(W, V)
+    diffs = row_differences(witness)
+    relations = [binomial_from_vector(d) for d in diffs]
+    index = lattice_index(W.basis, V)
     e = sg.embedding_dimension
     pairs = [(i, j) for i in range(e) for j in range(i + 1, e)]
     payload = {
@@ -262,7 +264,7 @@ def cmd_relations(args, argv) -> int:
         "determinant": determinant(witness),
         "row_differences": [
             {"i": i + 1, "j": j + 1, "vector": list(d)}
-            for (i, j), d in zip(pairs, W.generators)
+            for (i, j), d in zip(pairs, diffs)
         ],
         "relations": [
             {
@@ -351,15 +353,15 @@ def cmd_verify(args, argv) -> int:
     ):
         if value is not None:
             settings[key] = value
+    report_dir = Path(args.report_dir)
     try:
         config = verifier.VerifyConfig(**settings)
+        report_dir.mkdir(parents=True, exist_ok=True)
         reports = verifier.verify_all(config, claim_ids)
-    except (UnknownClaim, GridTooLarge, TypeError, ValueError) as exc:
+    except (OSError, UnknownClaim, GridTooLarge, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     ok = verifier.aggregate_ok(reports)
-    report_dir = Path(args.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "config": {
             "s_max": config.s_max,

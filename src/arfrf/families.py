@@ -96,10 +96,7 @@ def build_family(spec: FamilySpec) -> NumericalSemigroup:
 
 def closed_form_pf(spec: FamilySpec) -> tuple[int, ...]:
     """Pseudo-Frobenius elements predicted by the variant tables (sorted)."""
-    v, m, s, k = _resolve(spec)
-    if v == "med":
-        return tuple(range(s - m + 1, s))
-    return tuple(sorted(VARIANTS[v].rf_table(s, k)))
+    return tuple(closed_form_table(spec))
 
 
 def pf_label(spec: FamilySpec, f: int) -> str:
@@ -138,22 +135,25 @@ def _expand(templates: list[list[list[tuple[int, ...]]]]) -> list[Matrix]:
     return list(seen)
 
 
-def closed_form_rf(spec: FamilySpec, f: int) -> list[Matrix]:
-    """The tabulated RF matrix list for PF element ``f`` of this family.
+def closed_form_table(spec: FamilySpec) -> dict[int, list[Matrix]]:
+    """{PF element: tabulated RF matrix list}, PF elements ascending.
 
-    For the multiplicity <= 5 variants the tables claim completeness; for the
-    "med" variant the single formula matrix per PF element is only one member
-    of the full enumeration.
+    The multiplicity <= 5 tables claim completeness; the one "med" formula
+    matrix per PF element is only one member of the full enumeration.
     """
     v, m, s, k = _resolve(spec)
     if v == "med":
-        if not s - m < f < s:
-            raise NotPseudoFrobenius(f, closed_form_pf(spec))
-        return [_med_matrix(m, s, s - f)]
+        return {s - j: [_med_matrix(m, s, j)] for j in range(m - 1, 0, -1)}
     table = VARIANTS[v].rf_table(s, k)
+    return {f: _expand(table[f]) for f in sorted(table)}
+
+
+def closed_form_rf(spec: FamilySpec, f: int) -> list[Matrix]:
+    """The tabulated RF matrix list for PF element ``f`` of this family."""
+    table = closed_form_table(spec)
     if f not in table:
-        raise NotPseudoFrobenius(f, tuple(sorted(table)))
-    return _expand(table[f])
+        raise NotPseudoFrobenius(f, tuple(table))
+    return table[f]
 
 
 def _med_matrix(m: int, s: int, k: int) -> Matrix:

@@ -2,7 +2,9 @@
 and the genericity test for the defining toric ideal.
 
 Lattices are canonicalized to a Hermite-form basis at construction, so
-equality and index computations are decidable and deterministic.
+equality is decidable and deterministic. [V(S) : W(S)] is read from
+coordinates in V(S)'s Hermite basis; W(S)'s own basis and the pairwise row
+differences are built only where ``arfrf relations`` prints them.
 """
 
 from __future__ import annotations
@@ -35,15 +37,11 @@ class IntegerLattice:
     """Finitely generated subgroup of Z^dim, with a canonical triangular basis."""
 
     dim: int
-    generators: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_generators(
-        cls, vectors: Sequence[Sequence[int]], dim: int
-    ) -> "IntegerLattice":
-        gens = tuple(tuple(int(x) for x in v) for v in vectors)
-        return cls(dim=dim, generators=gens, basis=hermite_normal_form(gens, dim))
+    def from_generators(cls, vectors: Sequence[Sequence[int]], dim: int) -> "IntegerLattice":
+        return cls(dim=dim, basis=hermite_normal_form(vectors, dim))
 
     @property
     def rank(self) -> int:
@@ -72,58 +70,50 @@ def kernel_lattice(sg: NumericalSemigroup) -> IntegerLattice:
     The construction is saturated by design; any integer vector of degree 0
     lies in the span.
     """
-    basis = kernel_basis(sg.generators)
-    lattice = IntegerLattice(
-        dim=sg.embedding_dimension, generators=basis, basis=basis
-    )
+    lattice = IntegerLattice(dim=sg.embedding_dimension, basis=kernel_basis(sg.generators))
     assert lattice.rank == sg.embedding_dimension - 1
     return lattice
 
 
-def rf_difference_lattice(sg: NumericalSemigroup, matrix: RFMatrix) -> IntegerLattice:
-    """W(S) for one RF matrix: the span of all pairwise row differences a_i - a_j.
+def first_row_differences(matrix: RFMatrix) -> list[tuple[int, ...]]:
+    """a_1 - a_j for j = 2..e: they span W(S), as a_i - a_j = (a_1 - a_j) - (a_1 - a_i)."""
+    first, *rest = matrix.entries
+    return [tuple(a - b for a, b in zip(first, row)) for row in rest]
 
-    Every generator has degree 0 (rows share the degree f), which is exactly
-    membership in V(S); verified here. Rows of an RF matrix are always
-    distinct (the -1 diagonal), so no difference is the zero vector.
-    """
+
+def row_differences(matrix: RFMatrix) -> list[tuple[int, ...]]:
+    """All e(e-1)/2 differences a_i - a_j, i < j, in (i, j) order; none is zero
+    (the -1 diagonal keeps the rows distinct)."""
     rows = matrix.entries
-    e = len(rows)
-    diffs = []
-    for i in range(e):
-        for j in range(i + 1, e):
-            d = tuple(a - b for a, b in zip(rows[i], rows[j]))
-            if degree(sg, d) != 0:  # pragma: no cover - structural impossibility
-                raise AssertionError(f"row difference {d} has nonzero degree")
-            assert any(d), "RF matrix rows cannot coincide"
-            diffs.append(d)
-    # the first-row differences already span the whole lattice
-    # (a_i - a_j = (a_1 - a_j) - (a_1 - a_i)), which keeps the Hermite
-    # reduction linear in e instead of quadratic
-    basis = hermite_normal_form(diffs[: e - 1], e)
-    return IntegerLattice(dim=e, generators=tuple(diffs), basis=basis)
+    return [tuple(a - b for a, b in zip(r, t)) for i, r in enumerate(rows) for t in rows[i + 1 :]]
 
 
-def lattice_index(sub: IntegerLattice, ambient: IntegerLattice) -> int | None:
-    """[ambient : sub], or None when the index is infinite (rank drop).
+def rf_difference_lattice(sg: NumericalSemigroup, matrix: RFMatrix) -> IntegerLattice:
+    """W(S) for one RF matrix, in Hermite form, from its first-row differences."""
+    return IntegerLattice.from_generators(first_row_differences(matrix), sg.embedding_dimension)
 
-    Expresses sub's canonical basis in ambient's coordinates (an integer
-    back-substitution against the triangular basis) and returns the absolute
-    determinant of that change-of-basis matrix. Containment is checked on the
-    same reductions: the Hermite basis spans sub, so sub lies in ambient iff
-    every basis vector does.
+
+def lattice_index(vectors: Sequence[Sequence[int]], ambient: IntegerLattice) -> int | None:
+    """[ambient : L] for L spanned by ``vectors``, or None when L has lower rank.
+
+    Each vector is reduced against ambient's Hermite basis: NotSublattice if
+    it lies outside ambient (for an RF row difference: nonzero degree),
+    DimensionMismatch if its length is wrong. With ``ambient.rank`` vectors
+    the index is |det| of their coordinates (det 0 is a rank drop); fewer
+    give None, and more are not square, so ``bareiss_determinant`` raises
+    ValueError. Pass a basis, such as the first-row differences of an RF matrix.
     """
-    if sub.dim != ambient.dim:
-        raise DimensionMismatch(f"dimensions differ: {sub.dim} != {ambient.dim}")
     coords = []
-    for v in sub.basis:
+    for v in vectors:
+        if len(v) != ambient.dim:
+            raise DimensionMismatch(f"vector length {len(v)} != dim {ambient.dim}")
         c = hnf_coordinates(ambient.basis, v)
         if c is None:
-            raise NotSublattice(f"basis vector {v} lies outside the ambient lattice")
+            raise NotSublattice(f"vector {tuple(v)} lies outside the ambient lattice")
         coords.append(c)
-    if sub.rank < ambient.rank:
+    if len(coords) < ambient.rank:
         return None
-    return abs(bareiss_determinant(coords))
+    return abs(bareiss_determinant(coords)) or None
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +148,7 @@ def binomial_from_vector(vector: Sequence[int]) -> Binomial:
 
 def rf_relations(sg: NumericalSemigroup, matrix: RFMatrix) -> list[Binomial]:
     """The e(e-1)/2 binomials built from pairwise RF row differences, ordered by (i, j)."""
-    return [binomial_from_vector(d) for d in rf_difference_lattice(sg, matrix).generators]
+    return [binomial_from_vector(d) for d in row_differences(matrix)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,12 +38,7 @@ from typing import Callable, Iterable
 from . import families
 from .errors import GridTooLarge, UnknownClaim
 from .factorization import count_factorizations, factorization_vectors
-from .lattice import (
-    is_generic,
-    kernel_lattice,
-    lattice_index,
-    rf_difference_lattice,
-)
+from .lattice import first_row_differences, is_generic, kernel_lattice, lattice_index
 from .rfmatrix import (
     check_sign_conjecture,
     column_zero_pair,
@@ -407,14 +402,14 @@ def _check_closed_form(sg, spec):
     if not sg.is_arf():
         return 0, [{"problem": "family instance is not Arf"}]
     pf = sg.pseudo_frobenius().elements
-    tabulated = families.closed_form_pf(spec)
-    if pf != tabulated:
+    table = families.closed_form_table(spec)
+    if pf != tuple(table):
         problem = "pseudo-Frobenius set differs from the table"
-        return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(tabulated)}]
+        return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(table)}]
     problems = []
     for f in pf:
         enum = {m.entries for m in iter_rf_matrices(sg, f)}
-        closed = set(families.closed_form_rf(spec, f))
+        closed = set(table[f])
         if enum != closed:
             locus = (spec.variant, families.pf_label(spec, f))
             problems.append({"locus": locus, "f": f, "formula_only": sorted(closed - enum),
@@ -441,17 +436,16 @@ def _check_med_invariants(sg, spec):
 
 
 def _check_formula_rows(sg, spec):
-    pf = families.closed_form_pf(spec)
+    table = families.closed_form_table(spec)
     problems = []
-    for f in pf:
-        [formula] = families.closed_form_rf(spec, f)
+    for f, [formula] in table.items():
         choices = rf_row_choices(sg, f)
         for i, row in enumerate(formula):
             if row not in choices[i]:
                 problem = f"formula row {i + 1} = {row} is not a valid row factorization"
                 problems.append({"f": f, "problem": problem})
                 break
-    return len(pf), problems
+    return len(table), problems
 
 
 def _check_cor_det(sg, spec):
@@ -492,7 +486,7 @@ def _check_index_vs_det(sg, spec):
     has_det_witness = has_index_one = False
     for matrix in iter_rf_matrices(sg, f):
         det = determinant(matrix)
-        idx = lattice_index(rf_difference_lattice(sg, matrix), V)
+        idx = lattice_index(first_row_differences(matrix), V)
         has_det_witness |= abs(det) == f
         has_index_one |= idx == 1
         expected = None if det == 0 else abs(det) // f if abs(det) % f == 0 else -1
@@ -705,18 +699,30 @@ def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimRe
     return report
 
 
-def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> ClaimReport:
-    """Run one registered claim and finalize its status against the fixtures."""
-    config = config or VerifyConfig()
-    if claim_id not in CLAIMS:
-        raise UnknownClaim(f"unknown claim id {claim_id!r}; known: {sorted(CLAIMS)}")
+def _check_request(config: VerifyConfig, claim_ids) -> None:
+    for cid in claim_ids:
+        if cid not in CLAIMS:
+            raise UnknownClaim(f"unknown claim id {cid!r}; known: {sorted(CLAIMS)}")
     config.check_caps()
-    return _sweep(claim_id, config, load_fixtures(config.fixtures_path))
+
+
+def verify_claim(claim_id: str, config: VerifyConfig | None = None, fixtures=None) -> ClaimReport:
+    """Run one registered claim against ``fixtures`` (default: those ``config`` names)."""
+    config = config or VerifyConfig()
+    _check_request(config, [claim_id])
+    if fixtures is None:
+        fixtures = load_fixtures(config.fixtures_path)
+    return _sweep(claim_id, config, fixtures)
 
 
 def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:
-    """Run a claim list (default suite when None); empty list runs nothing."""
+    """Run a claim list (default suite when None); empty list runs nothing.
+
+    Every claim id, the caps and the fixtures are checked before the first sweep.
+    """
     config = config or VerifyConfig()
     if claim_ids is None:
         claim_ids = DEFAULT_SUITE
-    return [verify_claim(cid, config) for cid in claim_ids]
+    _check_request(config, claim_ids)
+    fixtures = load_fixtures(config.fixtures_path)
+    return [verify_claim(cid, config, fixtures) for cid in claim_ids]

@@ -334,6 +334,27 @@ class TestVerifyCommand:
                 "fail", 0, ["checked nothing"]
             )
 
+    def test_missing_fixtures_file_exit_4(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"fixtures = {tmp_path / 'missing.json'}\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "Prop3.1", "--s-max", "30", "--config", str(cfg),
+            "--report-dir", str(tmp_path / "r"),
+        )
+        assert code == 4
+        assert err.startswith("error: ") and "missing.json" in err
+        assert out == ""
+
+    def test_report_dir_that_is_a_file_exit_4(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "Prop3.1", "--s-max", "30", "--report-dir", str(taken)
+        )
+        assert code == 4
+        assert err.startswith("error: ") and "taken" in err
+        assert out == ""
+
     def test_reports_byte_identical(self, capsys, tmp_path):
         for sub in ("a", "b"):
             run_cli(

@@ -12,13 +12,16 @@ from arfrf.lattice import (
     binomial_from_vector,
     degree,
     is_generic,
+    first_row_differences,
     kernel_lattice,
     lattice_index,
     rf_difference_lattice,
     rf_relations,
+    row_differences,
 )
-from arfrf.rfmatrix import find_frobenius_det_witness, rf_matrices
+from arfrf.rfmatrix import find_frobenius_det_witness, iter_rf_matrices, rf_matrices
 from arfrf.semigroup import from_generators
+from arfrf.verifier import cofactor_determinant
 
 from test_semigroup import gen_sets
 
@@ -79,13 +82,13 @@ class TestDifferenceLattice:
     def test_worked_example_generators(self):
         sg = from_generators([4, 10, 21, 23])
         witness = find_frobenius_det_witness(sg)
-        W = rf_difference_lattice(sg, witness)
+        diffs = row_differences(witness)
         e = 4
         expected = [
             PAPER_DIFFS[(i + 1, j + 1)] for i in range(e) for j in range(i + 1, e)
         ]
-        assert list(W.generators) == expected
-        assert all(degree(sg, d) == 0 for d in W.generators)
+        assert list(diffs) == expected
+        assert all(degree(sg, d) == 0 for d in diffs)
 
     def test_two_generator_lattice_is_full(self):
         sg = from_generators([2, 5])
@@ -93,13 +96,13 @@ class TestDifferenceLattice:
         W = rf_difference_lattice(sg, m)
         V = kernel_lattice(sg)
         assert W == V
-        assert lattice_index(W, V) == 1
+        assert lattice_index(W.basis, V) == 1
 
     def test_reduced_basis_spans_all_pairs(self):
         sg = from_generators([5, 19, 21, 22, 23])
         for matrix in rf_matrices(sg, 18):
             W = rf_difference_lattice(sg, matrix)
-            assert all(W.contains(d) for d in W.generators)
+            assert all(W.contains(d) for d in row_differences(matrix))
 
     def test_basis_equals_hermite_form_of_all_pairs(self):
         # the stored basis comes from the first-row differences; it must be
@@ -111,37 +114,48 @@ class TestDifferenceLattice:
             for f in sg.pseudo_frobenius():
                 for matrix in rf_matrices(sg, f):
                     W = rf_difference_lattice(sg, matrix)
-                    full = hermite_normal_form(W.generators, W.dim)
+                    full = hermite_normal_form(row_differences(matrix), W.dim)
                     assert W.basis == full
 
 
 class TestLatticeIndex:
     def test_identity(self):
         V = kernel_lattice(from_generators([2, 5]))
-        assert lattice_index(V, V) == 1
+        assert lattice_index(V.basis, V) == 1
 
     def test_worked_example(self):
         sg = from_generators([4, 10, 21, 23])
         V = kernel_lattice(sg)
         W = rf_difference_lattice(sg, find_frobenius_det_witness(sg))
-        assert lattice_index(W, V) == 1
+        assert lattice_index(W.basis, V) == 1
 
     def test_doubled_rank_one_basis(self):
         V = kernel_lattice(from_generators([2, 5]))
         doubled = IntegerLattice.from_generators([(10, -4)], 2)
-        assert lattice_index(doubled, V) == 2
+        assert lattice_index(doubled.basis, V) == 2
+        # a generating set with more vectors than the rank is not square
+        with pytest.raises(ValueError):
+            lattice_index([(10, -4), (5, -2)], V)
 
     def test_not_sublattice(self):
         V = kernel_lattice(from_generators([2, 5]))
         alien = IntegerLattice.from_generators([(1, 0)], 2)
         with pytest.raises(NotSublattice):
-            lattice_index(alien, V)
+            lattice_index(alien.basis, V)
+        with pytest.raises(NotSublattice):
+            lattice_index([(4, -2)], V)
+        with pytest.raises(DimensionMismatch):
+            lattice_index([(5, -2, 0)], V)
 
     def test_infinite_index_on_rank_drop(self):
         sg = from_generators([4, 10, 21, 23])
         V = kernel_lattice(sg)
         sub = IntegerLattice.from_generators([V.basis[0]], 4)
-        assert lattice_index(sub, V) is None
+        assert lattice_index(sub.basis, V) is None
+        # exactly rank(V) vectors, but linearly dependent
+        a, b, _ = V.basis
+        dependent = [a, b, tuple(x - 2 * y for x, y in zip(a, b))]
+        assert lattice_index(dependent, V) is None
 
     def test_index_scales_determinant(self):
         # |det M| = F * [V : W] for every RF matrix of the Frobenius number
@@ -152,11 +166,47 @@ class TestLatticeIndex:
                 from arfrf.rfmatrix import determinant
 
                 det = determinant(m)
-                idx = lattice_index(rf_difference_lattice(sg, m), V)
+                idx = lattice_index(rf_difference_lattice(sg, m).basis, V)
                 if det == 0:
                     assert idx is None
                 else:
                     assert abs(det) == sg.frobenius * idx
+
+
+    def test_index_matches_maximal_minors(self):
+        indices = []
+        for gens in [(2, 5), (3, 7, 8), (6, 9, 20), (4, 10, 21, 23), (5, 19, 21, 22, 23),
+                     (6, 25, 26, 27, 28, 29), (7, 15, 17, 19, 20, 23)]:
+            sg = from_generators(gens)
+            indices += [_minor_checked_index(sg, m) for m in iter_rf_matrices(sg, sg.frobenius)]
+        assert len(indices) == 355
+        assert indices.count(None) == 112  # rank drops are covered too
+
+    @given(gen_sets(max_value=30, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_maximal_minors_random(self, gens):
+        sg = from_generators(gens)
+        if sg.frobenius < 1:
+            return
+        for m in rf_matrices(sg, sg.frobenius)[:50]:
+            _minor_checked_index(sg, m)
+
+
+def _minor_checked_index(sg, matrix):
+    """Check lattice_index against the maximal-minor identity; return the index.
+
+    D = the (e-1) x e matrix of first-row differences. For every column k,
+    |det(D without column k)| = [V:W] * n_k, since V is saturated with
+    primitive normal vector (n_1, ..., n_e); all minors vanish exactly when W
+    has lower rank. The minors come from cofactor expansion, not Bareiss.
+    """
+    rows = matrix.entries
+    diffs = [[a - b for a, b in zip(rows[0], row)] for row in rows[1:]]
+    idx = lattice_index(first_row_differences(matrix), kernel_lattice(sg))
+    for k, n in enumerate(sg.generators):
+        minor = cofactor_determinant([[x for c, x in enumerate(r) if c != k] for r in diffs])
+        assert abs(minor) == (0 if idx is None else idx * n)
+    return idx
 
 
 class TestBinomials:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from arfrf import families, verifier
 from arfrf.cli import main
 from arfrf.errors import GridTooLarge, UnknownClaim
 from arfrf.rfmatrix import rf_matrices
@@ -79,6 +81,29 @@ class TestClaims:
         # 2,000 would loop for ever instead of failing
         with pytest.raises(GridTooLarge):
             VerifyConfig(closure_samples=2000).check_caps()
+
+    def test_unknown_claim_fails_before_any_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before the claim list was checked")
+
+        monkeypatch.setattr(verifier, "_sweep", no_sweep)
+        with pytest.raises(UnknownClaim):
+            verify_all(QUICK, ["Prop3.1", "Bogus"])
+
+    def test_rf_tables_built_once_per_instance(self, monkeypatch):
+        calls = []
+        for v, row in families.VARIANTS.items():
+            def counted(s, k, v=v, build=row.rf_table):
+                calls.append((v, s, k))
+                return build(s, k)
+
+            monkeypatch.setitem(families.VARIANTS, v, dataclasses.replace(row, rf_table=counted))
+        verify_claim("Props3.1-3.12", QUICK)
+        assert calls == [
+            (v, spec.s, spec.k)
+            for v in families.M_LE_5_VARIANTS
+            for spec in families.family_instances(v, QUICK.s_max)
+        ]
 
     def test_single_prop_passes(self):
         report = verify_claim("Prop3.1", QUICK)
