@@ -396,6 +396,17 @@ def cmd_verify(args, argv) -> int:
 # parser
 
 
+def _cap(text: str) -> int:
+    """argparse type of ``--max-rf``: a non-negative integer (0 is legal)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cap needs an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arfrf",
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="search determinant witnesses")
     p.add_argument(
         "--max-rf",
-        type=int,
+        type=_cap,
         default=None,
         help="abort if a PF element has more matrices than this cap "
         "(safety valve for adversarial inputs; no cap by default)",
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="RF relations, W(S) and [V(S):W(S)]")
     add_common(p)
-    p.add_argument("--max-rf", type=int, default=None, help="cap on the RF(F) count")
+    p.add_argument("--max-rf", type=_cap, default=None, help="cap on the RF(F) count")
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("closure", help="smallest Arf semigroup containing <generators>")

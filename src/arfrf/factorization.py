@@ -1,4 +1,4 @@
-"""Enumerating representations of an integer over the minimal generators.
+"""Enumerating representations of an integer over a tuple of generators.
 
 The enumerator is a pruned depth-first search; its companion counter is an
 independent coin-counting dynamic program used to cross-check it.
@@ -7,6 +7,7 @@ independent coin-counting dynamic program used to cross-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .semigroup import NumericalSemigroup
 
@@ -19,56 +20,40 @@ class Factorization:
     value: int
 
 
-def factorization_vectors(
-    sg: NumericalSemigroup, value: int, excluded: int | None = None
-) -> list[tuple[int, ...]]:
-    """All coefficient vectors representing ``value``, largest-first.
+def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ...]]:
+    """All coefficient vectors c >= 0 with sum(c[j] * gens[j]) == value.
 
-    The list is complete, duplicate-free and ordered by lexicographically
-    decreasing coefficients (the search tries the largest multiple of each
-    generator first). ``excluded`` pins one coordinate to zero without
-    changing the vector length.
+    ``gens`` is a non-empty generator tuple (RF rows use all generators but
+    one). The list is complete, duplicate-free and ordered by
+    lexicographically decreasing coefficients: the search takes the
+    generators in order and tries the largest multiple of each first.
     """
     if value < 0:
         raise ValueError(f"cannot factor a negative value: {value}")
-    gens = sg.generators
-    e = len(gens)
-    if excluded is not None and not 0 <= excluded < e:
-        raise ValueError(f"excluded index {excluded} out of range for e={e}")
+    last = len(gens) - 1
     out: list[tuple[int, ...]] = []
-    coeffs = [0] * e
+    coeffs = [0] * len(gens)
 
     def descend(idx: int, rem: int) -> None:
-        if idx == e - 1:
-            if idx == excluded:
-                if rem == 0:
-                    out.append(tuple(coeffs))
-                return
-            q, r = divmod(rem, gens[idx])
+        g = gens[idx]
+        if idx == last:
+            q, r = divmod(rem, g)
             if r == 0:
                 coeffs[idx] = q
                 out.append(tuple(coeffs))
-                coeffs[idx] = 0
             return
-        if idx == excluded:
-            descend(idx + 1, rem)
-            return
-        g = gens[idx]
         for c in range(rem // g, -1, -1):
             coeffs[idx] = c
             descend(idx + 1, rem - c * g)
-        coeffs[idx] = 0
 
     descend(0, value)
     return out
 
 
-def factorizations(
-    sg: NumericalSemigroup, value: int, excluded: int | None = None
-) -> list[Factorization]:
-    """Factorization objects for every representation of ``value``; see
-    :func:`factorization_vectors` for ordering and the exclusion mechanism."""
-    return [Factorization(v, value) for v in factorization_vectors(sg, value, excluded)]
+def factorizations(sg: NumericalSemigroup, value: int) -> list[Factorization]:
+    """Factorization objects for every representation of ``value`` over the
+    minimal generators, in the order of :func:`factorization_vectors`."""
+    return [Factorization(v, value) for v in factorization_vectors(sg.generators, value)]
 
 
 def count_factorizations(sg: NumericalSemigroup, value: int) -> int:

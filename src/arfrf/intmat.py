@@ -90,21 +90,25 @@ def hnf_coordinates(
 ) -> tuple[int, ...] | None:
     """Integer coordinates of ``vector`` in a Hermite-form ``basis``, or None.
 
-    Relies on the echelon structure: each basis row is applied at its pivot
-    column in order, so the reduction is a pure back-substitution.
+    One pass over the columns with k coordinates found so far: a nonzero
+    entry of row k in column j makes j that row's pivot, so row k is applied
+    there; any other column is zero in every remaining row, so a nonzero entry
+    left in ``vector`` puts it outside the lattice.
     """
     v = list(vector)
-    pivots = [next(j for j, a in enumerate(row) if a != 0) for row in basis]
-    coords = []
-    for row, p in zip(basis, pivots):
-        q, r = divmod(v[p], row[p])
-        if r != 0:
+    coords: list[int] = []
+    for j in range(len(v)):
+        k = len(coords)
+        if k < len(basis) and basis[k][j] != 0:
+            row = basis[k]
+            q, r = divmod(v[j], row[j])
+            if r != 0:
+                return None
+            coords.append(q)
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        elif v[j] != 0:
             return None
-        coords.append(q)
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    if any(v):
-        return None
     return tuple(coords)
 
 

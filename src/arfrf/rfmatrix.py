@@ -1,8 +1,8 @@
 """Row-factorization matrices of pseudo-Frobenius numbers.
 
-An RF matrix of f stacks, for each generator index i, a representation of
-f + n_i with the i-th coordinate replaced by -1. Enumeration is the Cartesian
-product of the per-row representation lists, emitted row-major so row 1 varies
+An RF matrix of f stacks, for each generator index i, a factorization of
+f + n_i over the other generators with -1 inserted at i. Enumeration is the
+Cartesian product of the per-row lists, emitted row-major so row 1 varies
 slowest; per-row lists come out of the factorization engine largest-first.
 """
 
@@ -48,20 +48,16 @@ class RFMatrix:
 
 
 def rf_row_choices(sg: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]]:
-    """Per-row candidate lists: row i comes from factoring f + n_i with index i excluded."""
+    """Per-row candidate lists: row i lists the factorizations of f + n_i over
+    the other generators, lexicographically decreasing, with -1 written at i."""
     pf = sg.pseudo_frobenius()
     if f not in pf:
         raise NotPseudoFrobenius(f, pf.elements)
-    choices = []
-    for i, n in enumerate(sg.generators):
-        vectors = factorization_vectors(sg, f + n, excluded=i)
-        rows = []
-        for v in vectors:
-            row = list(v)
-            row[i] = -1
-            rows.append(tuple(row))
-        choices.append(rows)
-    return choices
+    gens = sg.generators
+    return [
+        [v[:i] + (-1,) + v[i:] for v in factorization_vectors(gens[:i] + gens[i + 1 :], f + n)]
+        for i, n in enumerate(gens)
+    ]
 
 
 def rf_matrix_count(sg: NumericalSemigroup, f: int) -> int:

@@ -202,6 +202,8 @@ def parse_config_text(text: str) -> dict:
             settings["fixtures_path"] = value
         elif key == "claims":
             settings["claims"] = [c.strip() for c in value.split(",") if c.strip()]
+            if not settings["claims"]:
+                raise ValueError(f"line {lineno}: claims names no claim id, got {value!r}")
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     return settings
@@ -554,7 +556,7 @@ def _check_oracles(sg, spec):
     if sg.frobenius > 0:
         probe_values.add(sg.frobenius)
     for n in sorted(probe_values):
-        if n <= 500 and len(factorization_vectors(sg, n)) != count_factorizations(sg, n):
+        if n <= 500 and len(factorization_vectors(sg.generators, n)) != count_factorizations(sg, n):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     pf = sg.pseudo_frobenius().elements

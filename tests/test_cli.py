@@ -107,6 +107,11 @@ class TestRF:
         assert code == 5
         assert "cap" in err
 
+    def test_zero_cap_is_legal(self, capsys):
+        code, out, err = run_cli(capsys, "rf", "2", "5", "--max-rf", "0")
+        assert code == 5
+        assert "cap 0" in err
+
     def test_row_choices_built_once_per_pf_element(self, capsys, monkeypatch):
         calls = []
 
@@ -188,6 +193,17 @@ class TestRelations:
         assert code == 5
         assert "2880" in err and "cap 1" in err
         assert out == ""
+
+
+class TestNegativeCap:
+    @pytest.mark.parametrize("command", ["rf", "relations"])
+    def test_usage_error_exit_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "4", "10", "21", "23", "--max-rf", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--max-rf" in captured.err and "at least 0" in captured.err
+        assert captured.out == ""
 
 
 class TestClosure:
@@ -314,6 +330,8 @@ class TestVerifyCommand:
             ([], "claims = OracleAgreement\noracle_samples = 0", 1),
             (["--claim", "Remark4.4", "--samples", "-1", "--m-max", "6"], None, 4),
             ([], "claims = OracleAgreement\noracle_samples = -2", 4),
+            ([], "claims =", 4),
+            ([], "claims = ,", 4),
         ],
     )
     def test_empty_or_invalid_grid_never_passes(

@@ -3,9 +3,10 @@ from functools import reduce
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arfrf.errors import DimensionMismatch, NotSublattice
-from arfrf.intmat import bareiss_determinant
+from arfrf.intmat import bareiss_determinant, hermite_normal_form, hnf_coordinates
 from arfrf.lattice import (
     Binomial,
     IntegerLattice,
@@ -190,6 +191,33 @@ class TestLatticeIndex:
             return
         for m in rf_matrices(sg, sg.frobenius)[:50]:
             _minor_checked_index(sg, m)
+
+
+@st.composite
+def _lattice_and_vector(draw):
+    """A generating set, its dimension, and a vector that is often in its span."""
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(-6, 6)
+    gens = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=4))
+    lams = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+    noise = draw(st.one_of(st.just([0] * dim), st.lists(entry, min_size=dim, max_size=dim)))
+    vector = [sum(l * g[j] for l, g in zip(lams, gens)) + noise[j] for j in range(dim)]
+    return gens, dim, vector
+
+
+class TestHnfCoordinates:
+    @given(_lattice_and_vector())
+    @settings(max_examples=300, deadline=None)
+    def test_against_hermite_canonicity(self, case):
+        # the Hermite form is canonical, so v lies in the lattice of B exactly
+        # when adding v as a generator leaves the form unchanged
+        gens, dim, vector = case
+        basis = hermite_normal_form(gens, dim)
+        coords = hnf_coordinates(basis, vector)
+        assert (coords is not None) == (hermite_normal_form([*basis, vector], dim) == basis)
+        if coords is not None:
+            assert len(coords) == len(basis)
+            assert [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(dim)] == vector
 
 
 def _minor_checked_index(sg, matrix):

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arfrf.errors import NotPseudoFrobenius, TooManyMatrices
-from arfrf.factorization import count_factorizations
+from arfrf.factorization import count_factorizations, factorization_vectors
 from arfrf.rfmatrix import (
     check_sign_conjecture,
     column_zero_pair,
@@ -12,9 +12,12 @@ from arfrf.rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
+    rf_row_choices,
 )
 from arfrf.semigroup import from_generators
 from arfrf.verifier import cofactor_determinant
+
+from test_semigroup import gen_sets
 
 # the four RF(18) matrices of <5,19,21,22,23>, in canonical enumeration order
 RF18 = [
@@ -53,10 +56,30 @@ class TestEnumeration:
         for f in sg.pseudo_frobenius():
             product = 1
             for n in sg.generators:
-                # the excluded coordinate can never be used (f is not in S),
-                # so the plain denumerant counts row candidates
+                # coordinate i of a factorization of f + n_i is always 0
+                # (f is not in S), so the plain denumerant counts row candidates
                 product *= count_factorizations(sg, f + n)
             assert product == rf_matrix_count(sg, f)
+
+    def test_worked_example_first_row(self):
+        sg = from_generators([5, 19, 21, 22, 23])
+        assert rf_row_choices(sg, 18)[0] == [(-1, 0, 0, 0, 1)]
+
+    @given(gen_sets(max_value=25, max_size=5))
+    @example((5, 19, 21, 22, 23))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_full_enumerator_in_order(self, gens):
+        # row i is the full enumeration of f + n_i restricted to v[i] == 0,
+        # with -1 written at i, in the enumerator's order
+        sg = from_generators(gens)
+        for f in sg.pseudo_frobenius():
+            for i, (row, n) in enumerate(zip(rf_row_choices(sg, f), sg.generators)):
+                expected = [
+                    v[:i] + (-1,) + v[i + 1 :]
+                    for v in factorization_vectors(sg.generators, f + n)
+                    if v[i] == 0
+                ]
+                assert row == expected
 
     def test_rejects_non_pf(self):
         sg = from_generators([2, 5])
