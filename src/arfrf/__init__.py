@@ -13,7 +13,7 @@ from .errors import (
     TooManyMatrices,
     UnknownClaim,
 )
-from .factorization import Factorization, count_factorizations, factorizations
+from .factorization import count_factorizations, factorization_vectors
 from .families import FamilySpec, build_family, closed_form_pf, closed_form_rf
 from .lattice import (
     Binomial,
@@ -33,8 +33,9 @@ from .rfmatrix import (
     determinant,
     find_frobenius_det_witness,
     rf_matrices,
+    sign_target,
 )
-from .semigroup import NumericalSemigroup, PseudoFrobeniusSet, from_generators
+from .semigroup import NumericalSemigroup, from_generators
 from .verifier import VerifyConfig, verify_all, verify_claim
 
 __version__ = "0.1.0"
@@ -43,7 +44,6 @@ __all__ = [
     "ArfrfError",
     "Binomial",
     "DimensionMismatch",
-    "Factorization",
     "FamilySpec",
     "GenericityReport",
     "GridTooLarge",
@@ -54,7 +54,6 @@ __all__ = [
     "NotPseudoFrobenius",
     "NotSublattice",
     "NumericalSemigroup",
-    "PseudoFrobeniusSet",
     "RFMatrix",
     "TooManyMatrices",
     "UnknownClaim",
@@ -67,7 +66,7 @@ __all__ = [
     "count_factorizations",
     "degree",
     "determinant",
-    "factorizations",
+    "factorization_vectors",
     "find_frobenius_det_witness",
     "from_generators",
     "is_generic",
@@ -76,6 +75,7 @@ __all__ = [
     "rf_difference_lattice",
     "rf_matrices",
     "rf_relations",
+    "sign_target",
     "verify_all",
     "verify_claim",
     "__version__",

@@ -48,6 +48,7 @@ from .rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
+    sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
 
@@ -105,8 +106,8 @@ def semigroup_payload(sg: NumericalSemigroup) -> dict:
         "conductor": sg.conductor,
         "genus": sg.genus(),
         "apery": list(sg.apery_table),
-        "pseudo_frobenius": list(pf.elements),
-        "type": pf.type_count,
+        "pseudo_frobenius": list(pf),
+        "type": len(pf),
         "is_med": sg.is_med(),
         "is_arf": sg.is_arf(),
     }
@@ -141,7 +142,7 @@ def cmd_analyze(args, argv) -> int:
 
 def cmd_rf(args, argv) -> int:
     sg = from_generators(args.generators)
-    pf = sg.pseudo_frobenius().elements
+    pf = sg.pseudo_frobenius()
     if args.pf is not None and args.pf not in pf:
         print(
             f"error: {args.pf} is not a pseudo-Frobenius number; PF = {list(pf)}",
@@ -171,13 +172,13 @@ def cmd_rf(args, argv) -> int:
     payload: dict = {"generators": list(sg.generators), "pf": list(pf), "rf": blocks}
     if args.witness:
         witness = find_frobenius_det_witness(sg)
-        sign = check_sign_conjecture(sg)
+        sign_found = check_sign_conjecture(sg) is not None
         payload["det_witness"] = (
             None if witness is None else [list(r) for r in witness.entries]
         )
         payload["det_witness_value"] = None if witness is None else determinant(witness)
-        payload["sign_target"] = sign.target
-        payload["sign_witness_found"] = sign.holds
+        payload["sign_target"] = sign_target(sg)
+        payload["sign_witness_found"] = sign_found
         if witness is None:
             lines.append(f"no RF matrix of F = {sg.frobenius} with |det| = F")
         else:
@@ -187,8 +188,8 @@ def cmd_rf(args, argv) -> int:
             )
             lines.extend("  " + row for row in format_matrix(witness.entries))
             lines.append(
-                f"sign-exact witness (target {sign.target}): "
-                f"{'found' if sign.holds else 'absent'}"
+                f"sign-exact witness (target {payload['sign_target']}): "
+                f"{'found' if sign_found else 'absent'}"
             )
     _emit(_document(argv, payload), args.format, lines)
     return 0
@@ -236,8 +237,7 @@ def cmd_generic(args, argv) -> int:
 
 def cmd_relations(args, argv) -> int:
     sg = from_generators(args.generators)
-    pf = sg.pseudo_frobenius().elements
-    if not pf:
+    if not sg.pseudo_frobenius():
         print("error: no pseudo-Frobenius numbers (S covers all of N)", file=sys.stderr)
         return 3
     frob = sg.frobenius

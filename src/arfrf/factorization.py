@@ -6,18 +6,9 @@ independent coin-counting dynamic program used to cross-check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .semigroup import NumericalSemigroup
-
-
-@dataclass(frozen=True, slots=True)
-class Factorization:
-    """A vector of multiplicities c with sum(c[j] * n_j) == value."""
-
-    coefficients: tuple[int, ...]
-    value: int
 
 
 def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ...]]:
@@ -48,12 +39,6 @@ def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ..
 
     descend(0, value)
     return out
-
-
-def factorizations(sg: NumericalSemigroup, value: int) -> list[Factorization]:
-    """Factorization objects for every representation of ``value`` over the
-    minimal generators, in the order of :func:`factorization_vectors`."""
-    return [Factorization(v, value) for v in factorization_vectors(sg.generators, value)]
 
 
 def count_factorizations(sg: NumericalSemigroup, value: int) -> int:

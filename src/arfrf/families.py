@@ -12,8 +12,9 @@ exhaustive enumeration, not to editorialize.
 
 A closed form is stored as a list of templates; a template is one per-row
 choice list whose Cartesian product (row-major) yields matrices. Templates
-are expanded, filtered for negative off-diagonal entries (defensive; the
-stated parameter bounds already guarantee non-negativity) and deduplicated.
+are expanded and deduplicated, nothing else: within the stated parameter
+bounds no entry off the diagonal is negative, and one that were would show
+up as a ``formula_only`` mismatch in the verifier rather than be hidden.
 """
 
 from __future__ import annotations
@@ -114,24 +115,11 @@ def pf_label(spec: FamilySpec, f: int) -> str:
 
 
 def _expand(templates: list[list[list[tuple[int, ...]]]]) -> list[Matrix]:
-    """Union of row-major products over all templates, deduplicated in order.
-
-    Any instantiation with a negative off-diagonal entry is dropped (the
-    tabulated parameter bounds make this unreachable; kept as a guard for
-    out-of-range boundary values).
-    """
+    """Union of row-major products over all templates, deduplicated in order."""
     seen: dict[Matrix, None] = {}
     for template in templates:
-        for combo in itertools.product(*template):
-            matrix = tuple(combo)
-            ok = all(
-                entry >= 0
-                for i, row in enumerate(matrix)
-                for j, entry in enumerate(row)
-                if j != i
-            )
-            if ok:
-                seen.setdefault(matrix, None)
+        for matrix in itertools.product(*template):
+            seen.setdefault(matrix, None)
     return list(seen)
 
 

@@ -163,7 +163,6 @@ class GenericityReport:
     """
 
     generic: bool
-    pf_checked: tuple[int, ...]
     nonunique: tuple[int, RFMatrix, RFMatrix] | None = None
     column_clash: tuple[int, RFMatrix, int, int, int] | None = None
 
@@ -182,15 +181,12 @@ class GenericityReport:
 
 def is_generic(sg: NumericalSemigroup) -> GenericityReport:
     """Genericity of the defining toric ideal, decided from RF matrices."""
-    pf = sg.pseudo_frobenius().elements
-    for f in pf:
+    for f in sg.pseudo_frobenius():
         found: list[RFMatrix] = []
         for matrix in iter_rf_matrices(sg, f):
             found.append(matrix)
             if len(found) == 2:
-                return GenericityReport(
-                    generic=False, pf_checked=pf, nonunique=(f, found[0], found[1])
-                )
+                return GenericityReport(generic=False, nonunique=(f, found[0], found[1]))
         matrix = found[0]
         e = matrix.size
         for j in range(e):
@@ -198,8 +194,6 @@ def is_generic(sg: NumericalSemigroup) -> GenericityReport:
                 for i2 in range(i + 1, e):
                     if matrix.entries[i][j] == matrix.entries[i2][j]:
                         return GenericityReport(
-                            generic=False,
-                            pf_checked=pf,
-                            column_clash=(f, matrix, i, i2, j),
+                            generic=False, column_clash=(f, matrix, i, i2, j)
                         )
-    return GenericityReport(generic=True, pf_checked=pf)
+    return GenericityReport(generic=True)

@@ -52,7 +52,7 @@ def rf_row_choices(sg: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]
     the other generators, lexicographically decreasing, with -1 written at i."""
     pf = sg.pseudo_frobenius()
     if f not in pf:
-        raise NotPseudoFrobenius(f, pf.elements)
+        raise NotPseudoFrobenius(f, pf)
     gens = sg.generators
     return [
         [v[:i] + (-1,) + v[i:] for v in factorization_vectors(gens[:i] + gens[i + 1 :], f + n)]
@@ -111,31 +111,24 @@ def find_frobenius_det_witness(sg: NumericalSemigroup) -> RFMatrix | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class SignConjectureCheck:
-    """Outcome of scanning RF(F) for a determinant equal to (-1)^(e+1) * F."""
-
-    target: int
-    witness: RFMatrix | None
-    scanned: int
-
-    @property
-    def holds(self) -> bool:
-        return self.witness is not None
+def sign_target(sg: NumericalSemigroup) -> int:
+    """(-1)^(e+1) F(S): the determinant Conjecture 5.3 asks of an RF matrix of F(S)."""
+    return (-1) ** (sg.embedding_dimension + 1) * sg.frobenius
 
 
-def check_sign_conjecture(sg: NumericalSemigroup) -> SignConjectureCheck:
-    """Look for an RF matrix of F(S) with determinant exactly (-1)^(e+1) F(S)."""
-    f = sg.frobenius
-    target = (-1) ** (sg.embedding_dimension + 1) * f
-    if f < 1:
-        return SignConjectureCheck(target=target, witness=None, scanned=0)
-    scanned = 0
-    for matrix in iter_rf_matrices(sg, f):
-        scanned += 1
+def check_sign_conjecture(sg: NumericalSemigroup) -> RFMatrix | None:
+    """First RF matrix of F(S) with determinant exactly :func:`sign_target`.
+
+    Scans the canonical enumeration order, as :func:`find_frobenius_det_witness`
+    does. Returns None when no matrix qualifies (or when PF(S) is empty).
+    """
+    if sg.frobenius < 1:
+        return None
+    target = sign_target(sg)
+    for matrix in iter_rf_matrices(sg, sg.frobenius):
         if determinant(matrix) == target:
-            return SignConjectureCheck(target=target, witness=matrix, scanned=scanned)
-    return SignConjectureCheck(target=target, witness=None, scanned=scanned)
+            return matrix
+    return None
 
 
 def column_zero_pair(

@@ -10,26 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NotMember, NotNumerical
-
-
-@dataclass(frozen=True, slots=True)
-class PseudoFrobeniusSet:
-    """Sorted pseudo-Frobenius numbers; the cardinality is the type t(S)."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def type_count(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, value: int) -> bool:
-        return value in self.elements
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,18 +52,19 @@ class NumericalSemigroup:
             raise NotMember(f"{n} is not a nonzero element of {self}")
         return _apery_by_residue(self.generators, n)
 
-    def pseudo_frobenius(self) -> PseudoFrobeniusSet:
-        """PF(S) from the maximal Apéry elements under the order w <= w' iff w' - w in S."""
+    def pseudo_frobenius(self) -> tuple[int, ...]:
+        """PF(S), sorted, from the maximal Apéry elements under the order
+        w <= w' iff w' - w in S; its length is the type t(S)."""
         if self.multiplicity == 1:
             # S = N: PF is empty by convention
-            return PseudoFrobeniusSet(())
+            return ()
         ap = self.apery_table
         maximal = [
             w
             for w in ap
             if not any(w2 != w and self.contains(w2 - w) for w2 in ap)
         ]
-        return PseudoFrobeniusSet(tuple(sorted(w - self.multiplicity for w in maximal)))
+        return tuple(sorted(w - self.multiplicity for w in maximal))
 
     def is_med(self) -> bool:
         """Maximal embedding dimension: e(S) == m(S)."""
@@ -94,8 +78,8 @@ class NumericalSemigroup:
         """S is Arf iff it has the genus of Arf(S), read off the multiplicity sequence."""
         if not self.is_med():  # every Arf semigroup has maximal embedding dimension
             return False
-        seq = _multiplicity_sequence(self.generators)
-        return sum(seq) - len(seq) == self.genus()  # S lies inside Arf(S)
+        runs = _multiplicity_sequence(self.generators)
+        return sum((a - 1) * q for a, q in runs) == self.genus()  # S lies inside Arf(S)
 
     def arf_closure(self) -> "NumericalSemigroup":
         """Smallest Arf numerical semigroup containing this one.
@@ -103,7 +87,7 @@ class NumericalSemigroup:
         Its elements below the conductor c = m_1 + ... + m_k are the partial
         sums 0, m_1, m_1 + m_2, ... of the multiplicity sequence m_1, ..., m_k.
         """
-        seq = _multiplicity_sequence(self.generators)
+        seq = [a for a, q in _multiplicity_sequence(self.generators) for _ in range(q)]
         if not seq:  # S = N
             return self
         *below, c = accumulate(seq)
@@ -163,17 +147,23 @@ def _minimal_system(gens: list[int], apery: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(minimal)
 
 
-def _multiplicity_sequence(gens: Iterable[int]) -> list[int]:
-    """Multiplicities of <A>, <a, A - a>, ... (a = min A) until the semigroup is N.
+def _multiplicity_sequence(gens: Iterable[int]) -> list[tuple[int, int]]:
+    """Multiplicities of <A>, <a, A - a>, ... (a = min A) until the semigroup
+    is N, as (multiplicity, repeats) runs.
 
     Lipman's recursion Arf(<A>) = {0} u (a + Arf(<a, A - a>)), run as a loop.
-    Redundant generators are harmless: g - a stays in <a, A - a>.
+    Redundant generators are harmless: g - a stays in <a, A - a>. While the
+    next-smallest element b stays at least 2a, a stays the least element, so
+    q = (b - a) // a steps are taken at once: <2, N> takes two runs, not N/2
+    steps.
     """
-    current, seq = set(gens), []
+    current, runs = set(gens), []
     while (a := min(current)) != 1:
-        seq.append(a)
-        current = {a} | {g - a for g in current if g != a}
-    return seq
+        b = min(g for g in current if g != a)  # gcd(A) = 1, so A != {a}
+        q = max(1, (b - a) // a)
+        runs.append((a, q))
+        current = {a} | {g - q * a for g in current if g != a}
+    return runs
 
 
 def _apery_by_residue(gens: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:

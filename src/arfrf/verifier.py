@@ -46,6 +46,7 @@ from .rfmatrix import (
     find_frobenius_det_witness,
     iter_rf_matrices,
     rf_row_choices,
+    sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
 
@@ -149,7 +150,6 @@ class VerifyConfig:
     closure_samples: int = 100
     oracle_samples: int = 1000
     seed: int = DEFAULT_SEED
-    grid_cap: int = 1000
     fixtures_path: str | None = None
     families: str = "all"  # Conj5.3 scope: "arf-m-le-5", "med", or "all"
 
@@ -164,8 +164,8 @@ class VerifyConfig:
             )
 
     def check_caps(self) -> None:
-        if self.s_max > self.grid_cap:
-            raise GridTooLarge(f"s_max {self.s_max} exceeds grid cap {self.grid_cap}")
+        if self.s_max > 1_000:
+            raise GridTooLarge(f"s_max {self.s_max} exceeds grid cap 1000")
         if self.med_m_max > 16:
             raise GridTooLarge(f"med_m_max {self.med_m_max} exceeds the cap 16")
         if self.closure_samples > 1_000:  # the sampler can draw only 1,207 closures
@@ -403,7 +403,7 @@ def _conj53_scope(config: VerifyConfig) -> dict:
 def _check_closed_form(sg, spec):
     if not sg.is_arf():
         return 0, [{"problem": "family instance is not Arf"}]
-    pf = sg.pseudo_frobenius().elements
+    pf = sg.pseudo_frobenius()
     table = families.closed_form_table(spec)
     if pf != tuple(table):
         problem = "pseudo-Frobenius set differs from the table"
@@ -432,7 +432,7 @@ def _check_med_invariants(sg, spec):
         problems.append("not Arf")
     if sg.generators != expected_gens:
         problems.append(f"minimal generators {sg.generators} != {expected_gens}")
-    if sg.pseudo_frobenius().elements != families.closed_form_pf(spec):
+    if sg.pseudo_frobenius() != families.closed_form_pf(spec):
         problems.append("pseudo-Frobenius set differs from the table")
     return 1, [{"problem": problems}] if problems else []
 
@@ -503,10 +503,9 @@ def _check_index_vs_det(sg, spec):
 
 
 def _check_sign_witness(sg, spec):
-    result = check_sign_conjecture(sg)
-    if result.holds:
+    if check_sign_conjecture(sg) is not None:
         return 1, []
-    return 1, [{"problem": f"no RF matrix of {sg.frobenius} has determinant {result.target}"}]
+    return 1, [{"problem": f"no RF matrix of {sg.frobenius} has determinant {sign_target(sg)}"}]
 
 
 def _check_generic(sg, spec):
@@ -549,7 +548,8 @@ def _check_oracles(sg, spec):
     bad_n = [n for n in range(top + 1) if table[n] != sg.contains(n)]
     if bad_n:
         return 1, [{"problem": f"membership differs at {bad_n[:5]}"}]
-    if oracle_pf(gens) != sg.pseudo_frobenius().elements:
+    pf = sg.pseudo_frobenius()
+    if oracle_pf(gens) != pf:
         return 1, [{"problem": "pseudo-Frobenius sets differ"}]
     problems = []
     probe_values = {0, 1, sg.multiplicity, sg.conductor, sg.conductor + 1, *probes}
@@ -559,7 +559,6 @@ def _check_oracles(sg, spec):
         if n <= 500 and len(factorization_vectors(sg.generators, n)) != count_factorizations(sg, n):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
-    pf = sg.pseudo_frobenius().elements
     if pf and sg.embedding_dimension <= 5:
         for matrix in islice(iter_rf_matrices(sg, pf[-1]), 3):
             if determinant(matrix) != cofactor_determinant(matrix.entries):

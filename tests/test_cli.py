@@ -332,6 +332,7 @@ class TestVerifyCommand:
             ([], "claims = OracleAgreement\noracle_samples = -2", 4),
             ([], "claims =", 4),
             ([], "claims = ,", 4),
+            (["--claim", "Prop3.1"], "grid_cap = 5000", 4),
         ],
     )
     def test_empty_or_invalid_grid_never_passes(
@@ -432,7 +433,9 @@ def _run_child_measured(argv, timeout=30.0, address_space=1 << 30):
     return proc.returncode, wall, usage.ru_maxrss / 1024
 
 
-@pytest.mark.parametrize("gens", [("101", "1000003"), ("3", "1000000"), ("2", "1000001")])
+@pytest.mark.parametrize(
+    "gens", [("101", "1000003"), ("3", "1000000"), ("2", "1000001"), ("2", "1000000001")]
+)
 def test_analyze_cost_follows_multiplicity(gens):
     code, wall, rss_mb = _run_child_measured(["analyze", *gens, "--format", "json"])
     assert code == 0

@@ -2,11 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfrf.factorization import (
-    count_factorizations,
-    factorization_vectors,
-    factorizations,
-)
+from arfrf.factorization import count_factorizations, factorization_vectors
 from arfrf.semigroup import from_generators
 
 from test_semigroup import gen_sets
@@ -38,12 +34,6 @@ class TestEnumeration:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             factorization_vectors(from_generators([2, 5]).generators, -1)
-
-    def test_wrapper_objects(self):
-        sg = from_generators([2, 5])
-        [f] = factorizations(sg, 8)
-        assert f.coefficients == (4, 0)
-        assert f.value == 8
 
 
 class TestCounting:

@@ -266,7 +266,7 @@ class TestBinomials:
     @settings(max_examples=40, deadline=None)
     def test_relation_invariants(self, gens):
         sg = from_generators(gens)
-        pf = sg.pseudo_frobenius().elements
+        pf = sg.pseudo_frobenius()
         if not pf:
             return
         matrix = rf_matrices(sg, pf[-1])[0]

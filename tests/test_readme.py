@@ -1,0 +1,37 @@
+"""The README's Library block runs, and each `expr  # literal` line holds.
+
+A checked line's literal is the comment text before its first colon, so
+`lattice_index(W.basis, V)    # 1: [V(S) : W(S)]` checks against 1.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_library_block_values():
+    source = library_block()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(source).body:
+        line = lines[stmt.lineno - 1]
+        code = ast.get_source_segment(source, stmt)
+        if "#" not in line:
+            exec(compile(code, "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), f"commented line is not an expression: {line}"
+        literal = line.split("#", 1)[1].split(":", 1)[0].strip()
+        value = eval(compile(code, "README.md", "eval"), namespace)
+        assert value == ast.literal_eval(literal), f"{code} gives {value!r}, README says {literal}"
+        checked += 1
+    assert checked == source.count("#")
+    assert checked > 0

@@ -13,6 +13,7 @@ from arfrf.rfmatrix import (
     rf_matrices,
     rf_matrix_count,
     rf_row_choices,
+    sign_target,
 )
 from arfrf.semigroup import from_generators
 from arfrf.verifier import cofactor_determinant
@@ -158,22 +159,24 @@ class TestDetWitness:
 
 class TestSignConjecture:
     def test_two_generators(self):
-        result = check_sign_conjecture(from_generators([2, 5]))
-        assert result.target == -3
-        assert result.holds
-        assert determinant(result.witness) == -3
+        sg = from_generators([2, 5])
+        witness = check_sign_conjecture(sg)
+        assert sign_target(sg) == -3
+        assert witness is not None
+        assert determinant(witness) == -3
 
     def test_worked_example(self):
-        result = check_sign_conjecture(from_generators([4, 10, 21, 23]))
-        assert result.target == -19
-        assert result.holds
+        sg = from_generators([4, 10, 21, 23])
+        witness = check_sign_conjecture(sg)
+        assert sign_target(sg) == -19
+        assert determinant(witness) == -19
 
     def test_med_sign(self):
         for m, s in [(6, 24), (7, 35), (8, 16)]:
             sg = from_generators([m, *range(s + 1, s + m)])
-            result = check_sign_conjecture(sg)
-            assert result.holds
-            assert result.target == (-1) ** (m + 1) * (s - 1)
+            witness = check_sign_conjecture(sg)
+            assert sign_target(sg) == (-1) ** (m + 1) * (s - 1)
+            assert determinant(witness) == sign_target(sg)
 
 
 class TestColumnZeroPair:

@@ -72,7 +72,7 @@ class TestConstruction:
         assert sg.frobenius == -1
         assert sg.conductor == 0
         assert sg.genus() == 0
-        assert sg.pseudo_frobenius().elements == ()
+        assert sg.pseudo_frobenius() == ()
 
     def test_gcd_failure_names_gcd(self):
         with pytest.raises(NotNumerical, match="gcd 2"):
@@ -141,26 +141,26 @@ class TestApery:
 
 class TestPseudoFrobenius:
     def test_examples(self):
-        assert from_generators([5, 19, 21, 22, 23]).pseudo_frobenius().elements == (
+        assert from_generators([5, 19, 21, 22, 23]).pseudo_frobenius() == (
             14,
             16,
             17,
             18,
         )
-        assert from_generators([2, 5]).pseudo_frobenius().elements == (3,)
+        assert from_generators([2, 5]).pseudo_frobenius() == (3,)
         # <6,9,20> is symmetric (genus 22 = (F+1)/2), so its type is 1
         assert oracle_pf((6, 9, 20)) == (43,)
-        assert from_generators([6, 9, 20]).pseudo_frobenius().elements == (43,)
+        assert from_generators([6, 9, 20]).pseudo_frobenius() == (43,)
 
     def test_max_element_is_frobenius(self):
         for gens in [(2, 5), (3, 7, 8), (6, 9, 20), (4, 10, 21, 23)]:
             sg = from_generators(gens)
-            assert sg.pseudo_frobenius().elements[-1] == sg.frobenius
+            assert sg.pseudo_frobenius()[-1] == sg.frobenius
 
     @given(gen_sets())
     @settings(max_examples=50, deadline=None)
     def test_apery_route_matches_definitional_scan(self, gens):
-        assert from_generators(gens).pseudo_frobenius().elements == oracle_pf(gens)
+        assert from_generators(gens).pseudo_frobenius() == oracle_pf(gens)
 
 
 class TestMedArf:
@@ -202,8 +202,8 @@ class TestMedArf:
             assert sg.is_arf()
             assert sg.is_med()
             pf = sg.pseudo_frobenius()
-            assert pf.elements == tuple(g - sg.multiplicity for g in sg.generators[1:])
-            assert pf.type_count == sg.multiplicity - 1
+            assert pf == tuple(g - sg.multiplicity for g in sg.generators[1:])
+            assert len(pf) == sg.multiplicity - 1
 
     @given(gen_sets())
     @settings(max_examples=50, deadline=None)
