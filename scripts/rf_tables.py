@@ -44,7 +44,7 @@ def main() -> int:
           f"F = {sg.frobenius}")
     for f, matrices in closed_form_table(spec).items():
         tabulated = set(matrices)
-        enumerated = {m.entries for m in rf_matrices(sg, f)}
+        enumerated = set(rf_matrices(sg, f))
         print(f"\nRF({f}): {len(tabulated)} tabulated, {len(enumerated)} enumerated")
         for matrix in sorted(enumerated | tabulated, reverse=True):
             if matrix in enumerated and matrix in tabulated:

@@ -27,11 +27,11 @@ from .lattice import (
     rf_relations,
 )
 from .rfmatrix import (
-    RFMatrix,
     check_sign_conjecture,
     column_zero_pair,
     determinant,
     find_frobenius_det_witness,
+    is_rf_matrix,
     rf_matrices,
     sign_target,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "NotPseudoFrobenius",
     "NotSublattice",
     "NumericalSemigroup",
-    "RFMatrix",
     "TooManyMatrices",
     "UnknownClaim",
     "VerifyConfig",
@@ -70,6 +69,7 @@ __all__ = [
     "find_frobenius_det_witness",
     "from_generators",
     "is_generic",
+    "is_rf_matrix",
     "kernel_lattice",
     "lattice_index",
     "rf_difference_lattice",

@@ -161,21 +161,19 @@ def cmd_rf(args, argv) -> int:
         block: dict = {"pf_element": f, "count": count}
         lines.append(f"RF({f}): {count} {'matrix' if count == 1 else 'matrices'}")
         if not args.count_only:
-            block["matrices"] = [[list(r) for r in M.entries] for M in matrices]
+            block["matrices"] = matrices
             if args.dets:
                 block["determinants"] = [determinant(M) for M in matrices]
             for idx, M in enumerate(matrices):
                 suffix = f"   det = {block['determinants'][idx]}" if args.dets else ""
                 lines.append(f"  matrix {idx + 1}{suffix}")
-                lines.extend("    " + row for row in format_matrix(M.entries))
+                lines.extend("    " + row for row in format_matrix(M))
         blocks.append(block)
     payload: dict = {"generators": list(sg.generators), "pf": list(pf), "rf": blocks}
     if args.witness:
         witness = find_frobenius_det_witness(sg)
         sign_found = check_sign_conjecture(sg) is not None
-        payload["det_witness"] = (
-            None if witness is None else [list(r) for r in witness.entries]
-        )
+        payload["det_witness"] = witness
         payload["det_witness_value"] = None if witness is None else determinant(witness)
         payload["sign_target"] = sign_target(sg)
         payload["sign_witness_found"] = sign_found
@@ -186,7 +184,7 @@ def cmd_rf(args, argv) -> int:
                 f"witness with |det| = F = {sg.frobenius}: "
                 f"det = {payload['det_witness_value']}"
             )
-            lines.extend("  " + row for row in format_matrix(witness.entries))
+            lines.extend("  " + row for row in format_matrix(witness))
             lines.append(
                 f"sign-exact witness (target {payload['sign_target']}): "
                 f"{'found' if sign_found else 'absent'}"
@@ -203,15 +201,12 @@ def cmd_generic(args, argv) -> int:
         witness = "all criteria passed"
     elif verdict.nonunique is not None:
         f, m1, m2 = verdict.nonunique
-        witness = {
-            "pf_element": f,
-            "matrices": [[list(r) for r in m.entries] for m in (m1, m2)],
-        }
+        witness = {"pf_element": f, "matrices": [m1, m2]}
     else:
         f, matrix, i, i2, j = verdict.column_clash
         witness = {
             "pf_element": f,
-            "matrix": [list(r) for r in matrix.entries],
+            "matrix": matrix,
             "rows": [i + 1, i2 + 1],
             "column": j + 1,
         }
@@ -227,10 +222,10 @@ def cmd_generic(args, argv) -> int:
     ]
     if not verdict.generic and verdict.nonunique is not None:
         for m in verdict.nonunique[1:]:
-            lines.extend("  " + row for row in format_matrix(m.entries))
+            lines.extend("  " + row for row in format_matrix(m))
             lines.append("")
     elif not verdict.generic:
-        lines.extend("  " + row for row in format_matrix(verdict.column_clash[1].entries))
+        lines.extend("  " + row for row in format_matrix(verdict.column_clash[1]))
     _emit(_document(argv, payload), args.format, lines)
     return 0 if verdict.generic else 1
 
@@ -251,7 +246,7 @@ def cmd_relations(args, argv) -> int:
         witness = next(iter_rf_matrices(sg, frob))
         note = "no |det| = F witness exists; using the first RF matrix instead"
     V = kernel_lattice(sg)
-    W = rf_difference_lattice(sg, witness)
+    W = rf_difference_lattice(witness)
     diffs = row_differences(witness)
     relations = [binomial_from_vector(d) for d in diffs]
     index = lattice_index(W.basis, V)
@@ -260,7 +255,7 @@ def cmd_relations(args, argv) -> int:
     payload = {
         "generators": list(sg.generators),
         "frobenius": frob,
-        "matrix": [list(r) for r in witness.entries],
+        "matrix": witness,
         "determinant": determinant(witness),
         "row_differences": [
             {"i": i + 1, "j": j + 1, "vector": list(d)}
@@ -286,7 +281,7 @@ def cmd_relations(args, argv) -> int:
     if note:
         lines.append(f"note: {note}")
     lines.append(f"RF matrix (det = {payload['determinant']}):")
-    lines.extend("  " + row for row in format_matrix(witness.entries))
+    lines.extend("  " + row for row in format_matrix(witness))
     lines.append("row differences a_i - a_j (generators of W(S)):")
     for diff in payload["row_differences"]:
         lines.append(f"  a_{diff['i']}{diff['j']} = {tuple(diff['vector'])}")
@@ -363,15 +358,7 @@ def cmd_verify(args, argv) -> int:
         return 4
     ok = verifier.aggregate_ok(reports)
     summary = {
-        "config": {
-            "s_max": config.s_max,
-            "med_m_min": config.med_m_min,
-            "med_m_max": config.med_m_max,
-            "med_s_factor": config.med_s_factor,
-            "closure_samples": config.closure_samples,
-            "oracle_samples": config.oracle_samples,
-            "seed": config.seed,
-        },
+        "config": {key: getattr(config, key) for key in verifier._CONFIG_INT_KEYS},
         "claims": [
             {"claim_id": r.claim_id, "status": r.status, "checked": r.checked}
             for r in reports

@@ -25,9 +25,8 @@ from functools import partial
 from typing import Callable
 
 from .errors import InvalidFamily, NotPseudoFrobenius
+from .rfmatrix import Matrix
 from .semigroup import NumericalSemigroup, from_generators
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, slots=True)

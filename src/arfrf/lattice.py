@@ -4,7 +4,9 @@ and the genericity test for the defining toric ideal.
 Lattices are canonicalized to a Hermite-form basis at construction, so
 equality is decidable and deterministic. [V(S) : W(S)] is read from
 coordinates in V(S)'s Hermite basis; W(S)'s own basis and the pairwise row
-differences are built only where ``arfrf relations`` prints them.
+differences are built only where ``arfrf relations`` prints them. An RF
+matrix is a tuple of row tuples; W(S) and the relations read only its rows,
+so they take no semigroup.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .intmat import (
     hnf_coordinates,
     kernel_basis,
 )
-from .rfmatrix import RFMatrix, iter_rf_matrices
+from .rfmatrix import Matrix, iter_rf_matrices
 from .semigroup import NumericalSemigroup
 
 
@@ -75,22 +77,23 @@ def kernel_lattice(sg: NumericalSemigroup) -> IntegerLattice:
     return lattice
 
 
-def first_row_differences(matrix: RFMatrix) -> list[tuple[int, ...]]:
+def first_row_differences(matrix: Matrix) -> list[tuple[int, ...]]:
     """a_1 - a_j for j = 2..e: they span W(S), as a_i - a_j = (a_1 - a_j) - (a_1 - a_i)."""
-    first, *rest = matrix.entries
+    first, *rest = matrix
     return [tuple(a - b for a, b in zip(first, row)) for row in rest]
 
 
-def row_differences(matrix: RFMatrix) -> list[tuple[int, ...]]:
+def row_differences(matrix: Matrix) -> list[tuple[int, ...]]:
     """All e(e-1)/2 differences a_i - a_j, i < j, in (i, j) order; none is zero
     (the -1 diagonal keeps the rows distinct)."""
-    rows = matrix.entries
-    return [tuple(a - b for a, b in zip(r, t)) for i, r in enumerate(rows) for t in rows[i + 1 :]]
+    return [tuple(a - b for a, b in zip(r, t))
+            for i, r in enumerate(matrix) for t in matrix[i + 1 :]]
 
 
-def rf_difference_lattice(sg: NumericalSemigroup, matrix: RFMatrix) -> IntegerLattice:
-    """W(S) for one RF matrix, in Hermite form, from its first-row differences."""
-    return IntegerLattice.from_generators(first_row_differences(matrix), sg.embedding_dimension)
+def rf_difference_lattice(matrix: Matrix) -> IntegerLattice:
+    """W(S) for one RF matrix, in Hermite form, from its first-row differences;
+    the e x e matrix gives the dimension."""
+    return IntegerLattice.from_generators(first_row_differences(matrix), len(matrix))
 
 
 def lattice_index(vectors: Sequence[Sequence[int]], ambient: IntegerLattice) -> int | None:
@@ -146,7 +149,7 @@ def binomial_from_vector(vector: Sequence[int]) -> Binomial:
     return Binomial(plus=plus, minus=minus)
 
 
-def rf_relations(sg: NumericalSemigroup, matrix: RFMatrix) -> list[Binomial]:
+def rf_relations(matrix: Matrix) -> list[Binomial]:
     """The e(e-1)/2 binomials built from pairwise RF row differences, ordered by (i, j)."""
     return [binomial_from_vector(d) for d in row_differences(matrix)]
 
@@ -163,8 +166,8 @@ class GenericityReport:
     """
 
     generic: bool
-    nonunique: tuple[int, RFMatrix, RFMatrix] | None = None
-    column_clash: tuple[int, RFMatrix, int, int, int] | None = None
+    nonunique: tuple[int, Matrix, Matrix] | None = None
+    column_clash: tuple[int, Matrix, int, int, int] | None = None
 
     def describe(self) -> str:
         if self.generic:
@@ -182,17 +185,17 @@ class GenericityReport:
 def is_generic(sg: NumericalSemigroup) -> GenericityReport:
     """Genericity of the defining toric ideal, decided from RF matrices."""
     for f in sg.pseudo_frobenius():
-        found: list[RFMatrix] = []
+        found: list[Matrix] = []
         for matrix in iter_rf_matrices(sg, f):
             found.append(matrix)
             if len(found) == 2:
                 return GenericityReport(generic=False, nonunique=(f, found[0], found[1]))
         matrix = found[0]
-        e = matrix.size
+        e = len(matrix)
         for j in range(e):
             for i in range(e):
                 for i2 in range(i + 1, e):
-                    if matrix.entries[i][j] == matrix.entries[i2][j]:
+                    if matrix[i][j] == matrix[i2][j]:
                         return GenericityReport(
                             generic=False, column_clash=(f, matrix, i, i2, j)
                         )

@@ -1,16 +1,17 @@
 """Row-factorization matrices of pseudo-Frobenius numbers.
 
 An RF matrix of f stacks, for each generator index i, a factorization of
-f + n_i over the other generators with -1 inserted at i. Enumeration is the
-Cartesian product of the per-row lists, emitted row-major so row 1 varies
-slowest; per-row lists come out of the factorization engine largest-first.
+f + n_i over the other generators with -1 inserted at i. It is held as a
+``Matrix``, a tuple of row tuples: hashable, and comparable as it stands with
+the closed-form tables. Enumeration is the Cartesian product of the per-row
+lists, emitted row-major so row 1 varies slowest; per-row lists come out of
+the factorization engine largest-first.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import NotPseudoFrobenius, TooManyMatrices
@@ -18,33 +19,24 @@ from .factorization import factorization_vectors
 from .intmat import bareiss_determinant
 from .semigroup import NumericalSemigroup
 
+Matrix = tuple[tuple[int, ...], ...]
 
-@dataclass(frozen=True, slots=True)
-class RFMatrix:
-    """e x e integer matrix with -1 diagonal whose rows all represent ``pf_element``."""
 
-    entries: tuple[tuple[int, ...], ...]
-    pf_element: int
-    semigroup: NumericalSemigroup = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def is_valid(self) -> bool:
-        """Re-check the defining conditions from scratch."""
-        gens = self.semigroup.generators
-        e = len(gens)
-        if len(self.entries) != e:
+def is_rf_matrix(sg: NumericalSemigroup, f: int, rows: Sequence[Sequence[int]]) -> bool:
+    """Re-check from scratch that ``rows`` is an RF matrix of f: e x e, -1 on
+    the diagonal, no negative entry off it, and every row of degree f."""
+    gens = sg.generators
+    e = len(gens)
+    if len(rows) != e:
+        return False
+    for i, row in enumerate(rows):
+        if len(row) != e or row[i] != -1:
             return False
-        for i, row in enumerate(self.entries):
-            if len(row) != e or row[i] != -1:
-                return False
-            if any(row[j] < 0 for j in range(e) if j != i):
-                return False
-            if sum(c * g for c, g in zip(row, gens)) != self.pf_element:
-                return False
-        return True
+        if any(row[j] < 0 for j in range(e) if j != i):
+            return False
+        if sum(c * g for c, g in zip(row, gens)) != f:
+            return False
+    return True
 
 
 def rf_row_choices(sg: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]]:
@@ -65,15 +57,14 @@ def rf_matrix_count(sg: NumericalSemigroup, f: int) -> int:
     return math.prod(len(rows) for rows in rf_row_choices(sg, f))
 
 
-def iter_rf_matrices(sg: NumericalSemigroup, f: int) -> Iterator[RFMatrix]:
+def iter_rf_matrices(sg: NumericalSemigroup, f: int) -> Iterator[Matrix]:
     """Lazy row-major enumeration (first row varies slowest)."""
-    for combo in itertools.product(*rf_row_choices(sg, f)):
-        yield RFMatrix(entries=tuple(combo), pf_element=f, semigroup=sg)
+    yield from itertools.product(*rf_row_choices(sg, f))
 
 
 def rf_matrices(
     sg: NumericalSemigroup, f: int, max_matrices: int | None = None
-) -> list[RFMatrix]:
+) -> list[Matrix]:
     """The complete RF matrix list of f, in deterministic canonical order.
 
     ``max_matrices`` is a safety cap for front ends; enumeration itself is
@@ -84,19 +75,15 @@ def rf_matrices(
         count = math.prod(len(rows) for rows in choices)
         if count > max_matrices:
             raise TooManyMatrices(count, max_matrices)
-    return [
-        RFMatrix(entries=combo, pf_element=f, semigroup=sg)
-        for combo in itertools.product(*choices)
-    ]
+    return list(itertools.product(*choices))
 
 
-def determinant(matrix: RFMatrix | Sequence[Sequence[int]]) -> int:
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (fraction-free elimination, no floats)."""
-    rows = matrix.entries if isinstance(matrix, RFMatrix) else matrix
-    return bareiss_determinant(rows)
+    return bareiss_determinant(matrix)
 
 
-def find_frobenius_det_witness(sg: NumericalSemigroup) -> RFMatrix | None:
+def find_frobenius_det_witness(sg: NumericalSemigroup) -> Matrix | None:
     """First RF matrix of F(S) whose determinant has absolute value F(S).
 
     Scans the canonical enumeration order, so the result is reproducible.
@@ -116,7 +103,7 @@ def sign_target(sg: NumericalSemigroup) -> int:
     return (-1) ** (sg.embedding_dimension + 1) * sg.frobenius
 
 
-def check_sign_conjecture(sg: NumericalSemigroup) -> RFMatrix | None:
+def check_sign_conjecture(sg: NumericalSemigroup) -> Matrix | None:
     """First RF matrix of F(S) with determinant exactly :func:`sign_target`.
 
     Scans the canonical enumeration order, as :func:`find_frobenius_det_witness`
@@ -131,18 +118,15 @@ def check_sign_conjecture(sg: NumericalSemigroup) -> RFMatrix | None:
     return None
 
 
-def column_zero_pair(
-    matrix: RFMatrix | Sequence[Sequence[int]],
-) -> tuple[int, int, int] | None:
+def column_zero_pair(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """Two rows sharing a zero in one column: (i, i', j), 0-based, or None.
 
     Deterministic: the smallest qualifying column wins, then the two smallest
     row indices.
     """
-    rows = matrix.entries if isinstance(matrix, RFMatrix) else matrix
-    e = len(rows)
+    e = len(matrix)
     for j in range(e):
-        zero_rows = [i for i in range(e) if rows[i][j] == 0]
+        zero_rows = [i for i in range(e) if matrix[i][j] == 0]
         if len(zero_rows) >= 2:
             return (zero_rows[0], zero_rows[1], j)
     return None

@@ -8,7 +8,6 @@ threads. The Arf test and the Arf closure both read the multiplicity sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import gcd
 from typing import Iterable
 
@@ -86,12 +85,17 @@ class NumericalSemigroup:
 
         Its elements below the conductor c = m_1 + ... + m_k are the partial
         sums 0, m_1, m_1 + m_2, ... of the multiplicity sequence m_1, ..., m_k.
+        In a run of q multiplicities a from partial sum P, P + k a for k > m = m_1
+        is P + (k - m) a plus m a, an element, so each run adds at most m sums.
         """
-        seq = [a for a, q in _multiplicity_sequence(self.generators) for _ in range(q)]
-        if not seq:  # S = N
+        runs = _multiplicity_sequence(self.generators)
+        if not runs:  # S = N
             return self
-        *below, c = accumulate(seq)
-        return from_generators([*below, *range(c, c + seq[0])])
+        m, p, sums = runs[0][0], 0, []
+        for a, q in runs:
+            sums.extend(range(p + a, p + min(q, m) * a + 1, a))
+            p += a * q
+        return from_generators([*sums, *range(p, p + m)])
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:

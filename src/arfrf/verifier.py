@@ -44,6 +44,7 @@ from .rfmatrix import (
     column_zero_pair,
     determinant,
     find_frobenius_det_witness,
+    is_rf_matrix,
     iter_rf_matrices,
     rf_row_choices,
     sign_target,
@@ -318,10 +319,6 @@ def _spec_dict(spec: families.FamilySpec) -> dict:
     return d
 
 
-def _rows(matrix) -> list[list[int]]:
-    return [list(r) for r in matrix.entries]
-
-
 # ---------------------------------------------------------------------------
 # universes: each yields (semigroup, where, spec)
 
@@ -410,7 +407,7 @@ def _check_closed_form(sg, spec):
         return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(table)}]
     problems = []
     for f in pf:
-        enum = {m.entries for m in iter_rf_matrices(sg, f)}
+        enum = set(iter_rf_matrices(sg, f))
         closed = set(table[f])
         if enum != closed:
             locus = (spec.variant, families.pf_label(spec, f))
@@ -477,7 +474,7 @@ def _check_zero_pairs(sg, spec):
     for matrix in iter_rf_matrices(sg, sg.frobenius):
         checked += 1
         if column_zero_pair(matrix) is None:
-            return checked, [{"matrix": _rows(matrix)}]
+            return checked, [{"matrix": matrix}]
     return checked, []
 
 
@@ -494,7 +491,7 @@ def _check_index_vs_det(sg, spec):
         expected = None if det == 0 else abs(det) // f if abs(det) % f == 0 else -1
         if (idx is None) != (det == 0) or (idx is not None and idx != expected):
             problems.append(
-                {"matrix": _rows(matrix), "problem": f"index {idx} inconsistent with det {det}"}
+                {"matrix": matrix, "problem": f"index {idx} inconsistent with det {det}"}
             )
     if has_det_witness != has_index_one:
         problem = f"det witness {has_det_witness} but index-1 witness {has_index_one}"
@@ -519,18 +516,18 @@ def _recheck_nongeneric_witness(sg, verdict) -> str | None:
         return "reported generic"
     if verdict.nonunique is not None:
         f, m1, m2 = verdict.nonunique
-        if m1.entries == m2.entries:
+        if m1 == m2:
             return "witness matrices coincide"
-        if not (m1.is_valid() and m2.is_valid()):
+        if not (is_rf_matrix(sg, f, m1) and is_rf_matrix(sg, f, m2)):
             return "witness matrix fails RF validity"
         return None
     f, matrix, i, i2, j = verdict.column_clash
-    if not matrix.is_valid():
+    if not is_rf_matrix(sg, f, matrix):
         return "witness matrix fails RF validity"
-    if matrix.entries[i][j] != matrix.entries[i2][j]:
+    if matrix[i][j] != matrix[i2][j]:
         return "witness column entries differ"
     # the corresponding relation loses column j from its support
-    diff = [a - b for a, b in zip(matrix.entries[i], matrix.entries[i2])]
+    diff = [a - b for a, b in zip(matrix[i], matrix[i2])]
     if diff[j] != 0:
         return "difference vector unexpectedly touches the clash column"
     return None
@@ -561,10 +558,8 @@ def _check_oracles(sg, spec):
             break
     if pf and sg.embedding_dimension <= 5:
         for matrix in islice(iter_rf_matrices(sg, pf[-1]), 3):
-            if determinant(matrix) != cofactor_determinant(matrix.entries):
-                problems.append(
-                    {"problem": "determinant oracles disagree", "matrix": _rows(matrix)}
-                )
+            if determinant(matrix) != cofactor_determinant(matrix):
+                problems.append({"problem": "determinant oracles disagree", "matrix": matrix})
     return 1, problems
 
 

@@ -443,10 +443,9 @@ def test_analyze_cost_follows_multiplicity(gens):
     assert rss_mb <= 100.0
 
 
-def test_closure_cost_follows_multiplicity():
-    code, wall, rss_mb = _run_child_measured(
-        ["closure", "13", "100003", "100011", "--format", "json"]
-    )
+@pytest.mark.parametrize("gens", [("13", "100003", "100011"), ("2", "4000001")])
+def test_closure_cost_follows_multiplicity(gens):
+    code, wall, rss_mb = _run_child_measured(["closure", *gens, "--format", "json"])
     assert code == 0
     assert wall <= 10.0
     assert rss_mb <= 100.0

@@ -89,7 +89,7 @@ class TestAgainstEnumeration:
     @staticmethod
     def _diff(spec, f):
         sg = build_family(spec)
-        enum = {m.entries for m in iter_rf_matrices(sg, f)}
+        enum = set(iter_rf_matrices(sg, f))
         closed = set(closed_form_rf(spec, f))
         return closed - enum, enum - closed
 

@@ -20,7 +20,7 @@ from arfrf.lattice import (
     rf_relations,
     row_differences,
 )
-from arfrf.rfmatrix import find_frobenius_det_witness, iter_rf_matrices, rf_matrices
+from arfrf.rfmatrix import find_frobenius_det_witness, is_rf_matrix, iter_rf_matrices, rf_matrices
 from arfrf.semigroup import from_generators
 from arfrf.verifier import cofactor_determinant
 
@@ -94,7 +94,7 @@ class TestDifferenceLattice:
     def test_two_generator_lattice_is_full(self):
         sg = from_generators([2, 5])
         [m] = rf_matrices(sg, 3)
-        W = rf_difference_lattice(sg, m)
+        W = rf_difference_lattice(m)
         V = kernel_lattice(sg)
         assert W == V
         assert lattice_index(W.basis, V) == 1
@@ -102,7 +102,7 @@ class TestDifferenceLattice:
     def test_reduced_basis_spans_all_pairs(self):
         sg = from_generators([5, 19, 21, 22, 23])
         for matrix in rf_matrices(sg, 18):
-            W = rf_difference_lattice(sg, matrix)
+            W = rf_difference_lattice(matrix)
             assert all(W.contains(d) for d in row_differences(matrix))
 
     def test_basis_equals_hermite_form_of_all_pairs(self):
@@ -114,7 +114,7 @@ class TestDifferenceLattice:
             sg = from_generators(gens)
             for f in sg.pseudo_frobenius():
                 for matrix in rf_matrices(sg, f):
-                    W = rf_difference_lattice(sg, matrix)
+                    W = rf_difference_lattice(matrix)
                     full = hermite_normal_form(row_differences(matrix), W.dim)
                     assert W.basis == full
 
@@ -127,7 +127,7 @@ class TestLatticeIndex:
     def test_worked_example(self):
         sg = from_generators([4, 10, 21, 23])
         V = kernel_lattice(sg)
-        W = rf_difference_lattice(sg, find_frobenius_det_witness(sg))
+        W = rf_difference_lattice(find_frobenius_det_witness(sg))
         assert lattice_index(W.basis, V) == 1
 
     def test_doubled_rank_one_basis(self):
@@ -167,7 +167,7 @@ class TestLatticeIndex:
                 from arfrf.rfmatrix import determinant
 
                 det = determinant(m)
-                idx = lattice_index(rf_difference_lattice(sg, m).basis, V)
+                idx = lattice_index(rf_difference_lattice(m).basis, V)
                 if det == 0:
                     assert idx is None
                 else:
@@ -228,8 +228,7 @@ def _minor_checked_index(sg, matrix):
     primitive normal vector (n_1, ..., n_e); all minors vanish exactly when W
     has lower rank. The minors come from cofactor expansion, not Bareiss.
     """
-    rows = matrix.entries
-    diffs = [[a - b for a, b in zip(rows[0], row)] for row in rows[1:]]
+    diffs = [[a - b for a, b in zip(matrix[0], row)] for row in matrix[1:]]
     idx = lattice_index(first_row_differences(matrix), kernel_lattice(sg))
     for k, n in enumerate(sg.generators):
         minor = cofactor_determinant([[x for c, x in enumerate(r) if c != k] for r in diffs])
@@ -247,11 +246,11 @@ class TestBinomials:
     def test_two_generator_relation(self):
         sg = from_generators([2, 5])
         [m] = rf_matrices(sg, 3)
-        assert rf_relations(sg, m) == [Binomial(plus=(5, 0), minus=(0, 2))]
+        assert rf_relations(m) == [Binomial(plus=(5, 0), minus=(0, 2))]
 
     def test_worked_example_relations(self):
         sg = from_generators([4, 10, 21, 23])
-        rels = rf_relations(sg, find_frobenius_det_witness(sg))
+        rels = rf_relations(find_frobenius_det_witness(sg))
         monomial_pairs = {(b.plus, b.minus) for b in rels}
         assert monomial_pairs == {
             ((3, 0, 1, 0), (0, 1, 0, 1)),   # x1^3 x3 - x2 x4
@@ -270,7 +269,7 @@ class TestBinomials:
         if not pf:
             return
         matrix = rf_matrices(sg, pf[-1])[0]
-        rels = rf_relations(sg, matrix)
+        rels = rf_relations(matrix)
         e = sg.embedding_dimension
         assert len(rels) == e * (e - 1) // 2
         for b in rels:
@@ -286,13 +285,14 @@ class TestGenericity:
         assert is_generic(from_generators([2, 5])).generic
 
     def test_column_clash_witness_checks_out(self):
-        verdict = is_generic(from_generators([4, 10, 21, 23]))
+        sg = from_generators([4, 10, 21, 23])
+        verdict = is_generic(sg)
         assert verdict.column_clash is not None
         f, matrix, i, i2, j = verdict.column_clash
-        assert matrix.is_valid()
-        assert matrix.entries[i][j] == matrix.entries[i2][j]
+        assert is_rf_matrix(sg, f, matrix)
+        assert matrix[i][j] == matrix[i2][j]
         # the induced relation misses column j, so it cannot have full support
-        diff = [a - b for a, b in zip(matrix.entries[i], matrix.entries[i2])]
+        diff = [a - b for a, b in zip(matrix[i], matrix[i2])]
         b = binomial_from_vector(diff)
         assert not b.has_full_support()
         assert j not in b.support
@@ -300,11 +300,11 @@ class TestGenericity:
     def test_nonunique_witness(self):
         # PF(<4,5,6>) = {7} and RF(7) has two matrices, so the scan reports
         # nonuniqueness rather than a column clash
-        verdict = is_generic(from_generators([4, 5, 6]))
+        sg = from_generators([4, 5, 6])
+        verdict = is_generic(sg)
         assert not verdict.generic
         assert verdict.nonunique is not None
         f, m1, m2 = verdict.nonunique
         assert f == 7
-        assert m1.entries != m2.entries
-        assert m1.is_valid() and m2.is_valid()
-        assert m1.pf_element == m2.pf_element == f
+        assert m1 != m2
+        assert is_rf_matrix(sg, f, m1) and is_rf_matrix(sg, f, m2)

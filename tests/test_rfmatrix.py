@@ -9,6 +9,7 @@ from arfrf.rfmatrix import (
     column_zero_pair,
     determinant,
     find_frobenius_det_witness,
+    is_rf_matrix,
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
@@ -33,18 +34,18 @@ class TestEnumeration:
     def test_worked_example_full_list(self):
         sg = from_generators([5, 19, 21, 22, 23])
         matrices = rf_matrices(sg, 18)
-        assert [m.entries for m in matrices] == RF18
-        assert all(m.is_valid() for m in matrices)
+        assert matrices == RF18
+        assert all(is_rf_matrix(sg, 18, m) for m in matrices)
 
     def test_two_generator_case(self):
         sg = from_generators([2, 5])
         [m] = rf_matrices(sg, 3)
-        assert m.entries == ((-1, 1), (4, -1))
+        assert m == ((-1, 1), (4, -1))
 
     def test_three_generator_case(self):
         sg = from_generators([3, 7, 8])
         [m] = rf_matrices(sg, 4)
-        assert m.entries == ((-1, 1, 0), (1, -1, 1), (4, 0, -1))
+        assert m == ((-1, 1, 0), (1, -1, 1), (4, 0, -1))
 
     def test_count_is_row_product(self):
         sg = from_generators([5, 19, 21, 22, 23])
@@ -94,6 +95,38 @@ class TestEnumeration:
         assert len(rf_matrices(sg, 18, max_matrices=4)) == 4
 
 
+def _with_row(matrix, i, row):
+    return matrix[:i] + (row,) + matrix[i + 1 :]
+
+
+class TestIsRFMatrix:
+    def test_holds_for_every_enumerated_matrix(self):
+        sg = from_generators([5, 19, 21, 22, 23])
+        for f in sg.pseudo_frobenius():
+            assert all(is_rf_matrix(sg, f, m) for m in iter_rf_matrices(sg, f))
+
+    # each bad input below breaks exactly one condition; the others still hold
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(RF18[0][:-1], id="row-count"),
+            pytest.param(RF18[0] + ((0, 0, 0, 0, 0),), id="row-count-over"),
+            pytest.param(_with_row(RF18[0], 4, (4, 0, 1, 0)), id="row-length"),
+            pytest.param(_with_row(RF18[0], 0, (-4, 2, 0, 0, 0)), id="diagonal"),
+            pytest.param(_with_row(RF18[0], 0, (-1, -1, 2, 0, 0)), id="negative-off-diagonal"),
+            pytest.param(_with_row(RF18[0], 0, (-1, 0, 0, 0, 2)), id="degree"),
+        ],
+    )
+    def test_rejects(self, rows):
+        sg = from_generators([5, 19, 21, 22, 23])
+        assert not is_rf_matrix(sg, 18, rows)
+
+    def test_rejects_other_pf_element(self):
+        sg = from_generators([5, 19, 21, 22, 23])
+        assert is_rf_matrix(sg, 18, RF18[0])
+        assert not is_rf_matrix(sg, 17, RF18[0])
+
+
 class TestDeterminant:
     def test_paper_values(self):
         sg = from_generators([5, 19, 21, 22, 23])
@@ -103,7 +136,7 @@ class TestDeterminant:
     def test_det_minus_19(self):
         sg = from_generators([4, 10, 21, 23])
         target = ((-1, 0, 0, 1), (2, -1, 1, 0), (10, 0, -1, 0), (8, 1, 0, -1))
-        matches = [m for m in rf_matrices(sg, 19) if m.entries == target]
+        matches = [m for m in rf_matrices(sg, 19) if m == target]
         assert len(matches) == 1
         assert determinant(matches[0]) == -19
 
@@ -129,14 +162,14 @@ class TestDeterminant:
             sg = from_generators(gens)
             for f in sg.pseudo_frobenius():
                 for m in rf_matrices(sg, f):
-                    assert determinant(m) == cofactor_determinant(m.entries)
+                    assert determinant(m) == cofactor_determinant(m)
 
 
 class TestDetWitness:
     def test_worked_example(self):
         sg = from_generators([5, 19, 21, 22, 23])
         witness = find_frobenius_det_witness(sg)
-        assert witness.entries == RF18[0]
+        assert witness == RF18[0]
         assert determinant(witness) == 18
 
     def test_multiplicity_two_sweep(self):

@@ -3,7 +3,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arfrf.errors import NotMember, NotNumerical
@@ -289,6 +289,7 @@ class TestArfClosure:
             assert {n for n in range(c) if closure.contains(n)} == brute
 
     @given(gen_sets())
+    @example([5, 38, 39, 45, 161])  # a later multiplicity run starts past a truncated one
     @settings(max_examples=200, deadline=None)
     def test_matches_definitional_fixpoint(self, gens):
         sg = from_generators(gens)
