@@ -18,7 +18,6 @@ from .families import FamilySpec, build_family, closed_form_pf, closed_form_rf
 from .lattice import (
     Binomial,
     GenericityReport,
-    IntegerLattice,
     degree,
     is_generic,
     kernel_lattice,
@@ -47,7 +46,6 @@ __all__ = [
     "FamilySpec",
     "GenericityReport",
     "GridTooLarge",
-    "IntegerLattice",
     "InvalidFamily",
     "NotMember",
     "NotNumerical",

@@ -249,7 +249,7 @@ def cmd_relations(args, argv) -> int:
     W = rf_difference_lattice(witness)
     diffs = row_differences(witness)
     relations = [binomial_from_vector(d) for d in diffs]
-    index = lattice_index(W.basis, V)
+    index = lattice_index(W, V)
     e = sg.embedding_dimension
     pairs = [(i, j) for i in range(e) for j in range(i + 1, e)]
     payload = {
@@ -272,8 +272,8 @@ def cmd_relations(args, argv) -> int:
             }
             for (i, j), b in zip(pairs, relations)
         ],
-        "kernel_basis": [list(r) for r in V.basis],
-        "difference_basis": [list(r) for r in W.basis],
+        "kernel_basis": V,
+        "difference_basis": W,
         "index": index if index is not None else "infinite",
         "note": note,
     }
@@ -288,8 +288,8 @@ def cmd_relations(args, argv) -> int:
     lines.append("relations:")
     for rel in payload["relations"]:
         lines.append(f"  phi_{rel['i']}{rel['j']} = {rel['binomial']}")
-    lines.append(f"V(S) basis: {[tuple(r) for r in payload['kernel_basis']]}")
-    lines.append(f"W(S) basis: {[tuple(r) for r in payload['difference_basis']]}")
+    lines.append(f"V(S) basis: {list(V)}")
+    lines.append(f"W(S) basis: {list(W)}")
     lines.append(f"[V(S) : W(S)] = {payload['index']}")
     _emit(_document(argv, payload), args.format, lines)
     return 0

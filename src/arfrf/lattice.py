@@ -1,12 +1,12 @@
 """Degree map, kernel lattice V(S), RF-difference lattice W(S), RF relations,
 and the genericity test for the defining toric ideal.
 
-Lattices are canonicalized to a Hermite-form basis at construction, so
-equality is decidable and deterministic. [V(S) : W(S)] is read from
-coordinates in V(S)'s Hermite basis; W(S)'s own basis and the pairwise row
-differences are built only where ``arfrf relations`` prints them. An RF
-matrix is a tuple of row tuples; W(S) and the relations read only its rows,
-so they take no semigroup.
+A lattice is its canonical Hermite basis, the tuple of row tuples that
+``hermite_normal_form`` returns, so two lattices are equal iff their bases
+are. [V(S) : W(S)] is read from coordinates in V(S)'s Hermite basis; W(S)'s
+own basis and the pairwise row differences are built only where ``arfrf
+relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
+relations read only its rows, so they take no semigroup.
 """
 
 from __future__ import annotations
@@ -34,47 +34,18 @@ def degree(sg: NumericalSemigroup, vector: Sequence[int]) -> int:
     return sum(c * g for c, g in zip(vector, sg.generators))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class IntegerLattice:
-    """Finitely generated subgroup of Z^dim, with a canonical triangular basis."""
-
-    dim: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_generators(cls, vectors: Sequence[Sequence[int]], dim: int) -> "IntegerLattice":
-        return cls(dim=dim, basis=hermite_normal_form(vectors, dim))
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vector: Sequence[int]) -> bool:
-        if len(vector) != self.dim:
-            raise DimensionMismatch(f"vector length {len(vector)} != dim {self.dim}")
-        return hnf_coordinates(self.basis, vector) is not None
-
-    __contains__ = contains
-
-    def __eq__(self, other: object) -> bool:
-        # equality of lattices, not of generating sets
-        if not isinstance(other, IntegerLattice):
-            return NotImplemented
-        return self.dim == other.dim and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.basis))
+Basis = tuple[tuple[int, ...], ...]
 
 
-def kernel_lattice(sg: NumericalSemigroup) -> IntegerLattice:
-    """V(S): the full integer kernel of the degree map, rank e - 1.
+def kernel_lattice(sg: NumericalSemigroup) -> Basis:
+    """V(S): the full integer kernel of the degree map, rank e - 1, in Hermite form.
 
     The construction is saturated by design; any integer vector of degree 0
     lies in the span.
     """
-    lattice = IntegerLattice(dim=sg.embedding_dimension, basis=kernel_basis(sg.generators))
-    assert lattice.rank == sg.embedding_dimension - 1
-    return lattice
+    basis = kernel_basis(sg.generators)
+    assert len(basis) == sg.embedding_dimension - 1
+    return basis
 
 
 def first_row_differences(matrix: Matrix) -> list[tuple[int, ...]]:
@@ -90,31 +61,33 @@ def row_differences(matrix: Matrix) -> list[tuple[int, ...]]:
             for i, r in enumerate(matrix) for t in matrix[i + 1 :]]
 
 
-def rf_difference_lattice(matrix: Matrix) -> IntegerLattice:
+def rf_difference_lattice(matrix: Matrix) -> Basis:
     """W(S) for one RF matrix, in Hermite form, from its first-row differences;
     the e x e matrix gives the dimension."""
-    return IntegerLattice.from_generators(first_row_differences(matrix), len(matrix))
+    return hermite_normal_form(first_row_differences(matrix), len(matrix))
 
 
-def lattice_index(vectors: Sequence[Sequence[int]], ambient: IntegerLattice) -> int | None:
+def lattice_index(vectors: Sequence[Sequence[int]], ambient: Basis) -> int | None:
     """[ambient : L] for L spanned by ``vectors``, or None when L has lower rank.
 
-    Each vector is reduced against ambient's Hermite basis: NotSublattice if
-    it lies outside ambient (for an RF row difference: nonzero degree),
-    DimensionMismatch if its length is wrong. With ``ambient.rank`` vectors
-    the index is |det| of their coordinates (det 0 is a rank drop); fewer
-    give None, and more are not square, so ``bareiss_determinant`` raises
-    ValueError. Pass a basis, such as the first-row differences of an RF matrix.
+    ``ambient`` is a Hermite basis; each vector is reduced against it:
+    NotSublattice if it lies outside ambient (for an RF row difference:
+    nonzero degree), DimensionMismatch if its length is wrong. With
+    ``len(ambient)`` vectors the index is |det| of their coordinates (det 0
+    is a rank drop); fewer give None, and more are not square, so
+    ``bareiss_determinant`` raises ValueError. Pass a basis, such as the
+    first-row differences of an RF matrix. A rank-0 ambient has no length to
+    check against, so there any nonzero vector is NotSublattice.
     """
     coords = []
     for v in vectors:
-        if len(v) != ambient.dim:
-            raise DimensionMismatch(f"vector length {len(v)} != dim {ambient.dim}")
-        c = hnf_coordinates(ambient.basis, v)
+        if ambient and len(v) != len(ambient[0]):
+            raise DimensionMismatch(f"vector length {len(v)} != dim {len(ambient[0])}")
+        c = hnf_coordinates(ambient, v)
         if c is None:
             raise NotSublattice(f"vector {tuple(v)} lies outside the ambient lattice")
         coords.append(c)
-    if len(coords) < ambient.rank:
+    if len(coords) < len(ambient):
         return None
     return abs(bareiss_determinant(coords)) or None
 

@@ -15,7 +15,7 @@ grid (the bounds echoed in the report), a universe and a check:
 
 ``_sweep`` is the one loop: it builds the ClaimReport, walks the universe,
 turns problems into counterexamples or grouped table mismatches, and
-finalizes the status as "pass", "fail", or "mismatch-with-details"; the last
+decides the status as "pass", "fail", or "mismatch-with-details"; the last
 means every observed discrepancy matches a pre-registered fixture shipped
 with the package (two suspected typos and one single-instance omission in
 the closed-form tables, each carrying the enumerated correction). A claim
@@ -53,6 +53,9 @@ from .semigroup import NumericalSemigroup, from_generators
 
 DEFAULT_SEED = 1729
 CLOSURE_MULTIPLICITIES = (6, 7, 8)  # of the Arf-closure samples
+MAX_GENERATOR = 60  # largest random generator either sampler draws
+MAX_EMBEDDING_DIMENSION = 6  # of the random generator sets
+VALUE_CAP = 500  # OracleAgreement compares factorization counts up to this value
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +250,6 @@ class ClaimReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def finalize(self, fixtures: list[dict]) -> "ClaimReport":
-        if self.counterexamples:
-            self.status = "fail"
-        elif self.mismatches:
-            covered = all(
-                any(_fixture_covers(f, m) for f in fixtures) for m in self.mismatches
-            )
-            self.status = "mismatch-with-details" if covered else "fail"
-            for m in self.mismatches:
-                m["expected"] = any(_fixture_covers(f, m) for f in fixtures)
-        else:
-            self.status = "pass"
-        return self
-
 
 def aggregate_ok(reports) -> bool:
     """True when no report failed outside the pre-registered fixtures."""
@@ -271,9 +260,7 @@ def aggregate_ok(reports) -> bool:
 # sampling
 
 
-def sample_arf_closures(
-    count: int, multiplicities, seed: int, max_gen: int = 60
-) -> list[NumericalSemigroup]:
+def sample_arf_closures(count: int, multiplicities, seed: int) -> list[NumericalSemigroup]:
     """Deterministic sample of distinct Arf closures with prescribed multiplicities.
 
     The closure of <m, extras> keeps multiplicity m, so seeding the generator
@@ -285,7 +272,7 @@ def sample_arf_closures(
     seen: set = set()
     while len(out) < count:
         m = multiplicities[rng.randrange(len(multiplicities))]
-        extras = {rng.randint(m + 1, max_gen) for _ in range(rng.randint(2, 4))}
+        extras = {rng.randint(m + 1, MAX_GENERATOR) for _ in range(rng.randint(2, 4))}
         gens = sorted({m, *extras})
         if reduce(gcd, gens) != 1:
             continue
@@ -297,13 +284,13 @@ def sample_arf_closures(
     return out
 
 
-def random_semigroups(count: int, seed: int, max_gen: int = 60, max_e: int = 6):
+def random_semigroups(count: int, seed: int):
     """Seeded random generator sets with gcd 1 (duplicates allowed)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        e = rng.randint(2, max_e)
-        gens = sorted({rng.randint(2, max_gen) for _ in range(e)})
+        e = rng.randint(2, MAX_EMBEDDING_DIMENSION)
+        gens = sorted({rng.randint(2, MAX_GENERATOR) for _ in range(e)})
         if len(gens) < 2 or reduce(gcd, gens) != 1:
             continue
         out.append(tuple(gens))
@@ -351,7 +338,7 @@ def _random_universe(config: VerifyConfig):
     """Seeded random generator sets; the spec is (input generators, 4 probe values)."""
     rng = random.Random(config.seed + 1)
     for gens in random_semigroups(config.oracle_samples, config.seed):
-        probes = [rng.randint(0, 500) for _ in range(4)]
+        probes = [rng.randint(0, VALUE_CAP) for _ in range(4)]
         yield from_generators(gens), {"gens": list(gens)}, (gens, probes)
 
 
@@ -552,8 +539,8 @@ def _check_oracles(sg, spec):
     probe_values = {0, 1, sg.multiplicity, sg.conductor, sg.conductor + 1, *probes}
     if sg.frobenius > 0:
         probe_values.add(sg.frobenius)
-    for n in sorted(probe_values):
-        if n <= 500 and len(factorization_vectors(sg.generators, n)) != count_factorizations(sg, n):
+    for n in sorted(v for v in probe_values if v <= VALUE_CAP):
+        if len(factorization_vectors(sg.generators, n)) != count_factorizations(sg, n):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     if pf and sg.embedding_dimension <= 5:
@@ -654,8 +641,9 @@ CLAIMS: dict[str, Claim] = {
     "OracleAgreement": Claim(
         "membership, pseudo-Frobenius, factorization-count and determinant oracles "
         "agree with the primary implementations on seeded random generator sets",
-        lambda c: {"samples": c.oracle_samples, "max_generator": 60,
-                   "max_embedding_dimension": 6, "value_cap": 500, "seed": c.seed},
+        lambda c: {"samples": c.oracle_samples, "max_generator": MAX_GENERATOR,
+                   "max_embedding_dimension": MAX_EMBEDDING_DIMENSION,
+                   "value_cap": VALUE_CAP, "seed": c.seed},
         _random_universe, _check_oracles),
 }
 
@@ -669,7 +657,7 @@ SUITES = {
 
 
 def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimReport:
-    """Check every instance of the claim's universe and finalize the report."""
+    """Check every instance of the claim's universe and decide the report's status."""
     claim = CLAIMS[claim_id]
     report = ClaimReport(claim_id=claim_id, description=claim.description, grid=claim.grid(config))
     loci: dict[tuple[str, str], dict] = {}
@@ -687,11 +675,16 @@ def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimRe
             if spec.s not in locus["s_values"]:
                 locus["s_values"].append(spec.s)
     report.mismatches = [loci[k] for k in sorted(loci)]
-    report.finalize(fixtures)
+    for m in report.mismatches:
+        m["expected"] = any(_fixture_covers(f, m) for f in fixtures)
     if not report.checked:
         # an empty universe proves nothing, so it must not read as a pass
-        report.status = "fail"
         report.notes.append("checked nothing")
+    if (report.counterexamples or not report.checked
+            or not all(m["expected"] for m in report.mismatches)):
+        report.status = "fail"
+    elif report.mismatches:
+        report.status = "mismatch-with-details"
     return report
 
 

@@ -190,7 +190,7 @@ def test_criterion_9_lattice_equivalence(capsys):
     sg = from_generators([4, 10, 21, 23])
     V = kernel_lattice(sg)
     indexed = [
-        (determinant(m), lattice_index(rf_difference_lattice(m).basis, V))
+        (determinant(m), lattice_index(rf_difference_lattice(m), V))
         for m in rf_matrices(sg, sg.frobenius)
     ]
     assert any(abs(d) == 19 for d, _ in indexed) == any(i == 1 for _, i in indexed)

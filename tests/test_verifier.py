@@ -217,6 +217,20 @@ class TestRemarkAndLemma:
             for matrix in rf_matrices(sg, sg.frobenius):
                 assert column_zero_pair(matrix) is not None
 
+    @pytest.mark.parametrize("gens", [(5, 16, 17, 18), (5, 23, 24, 26), (5, 8, 11, 14)])
+    def test_zero_pair_check_reports_first_counterexample(self, gens):
+        # the failing branch of Lemma4.5: multiplicity 5 is below the lemma's
+        # range, and these instances have an RF matrix of F with no column
+        # holding two zeros; the check stops at the first one
+        sg = from_generators(gens)
+        matrices = rf_matrices(sg, sg.frobenius)
+        k, first = next(
+            (k, m) for k, m in enumerate(matrices, start=1)
+            if all(sum(row[j] == 0 for row in m) < 2 for j in range(len(m)))
+        )
+        assert 1 < k < len(matrices)
+        assert verifier._check_zero_pairs(sg, None) == (k, [{"matrix": first}])
+
 
 def test_golden_reports_byte_identical(tmp_path, capsys):
     """The default suite at the QUICK bounds reproduces the pinned reports."""
