@@ -1,11 +1,41 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfrf.factorization import count_factorizations, factorization_vectors
+from arfrf.rfmatrix import rf_row_choices
 from arfrf.semigroup import from_generators
 
 from test_semigroup import gen_sets
+
+
+def _reference_vectors(gens, value):
+    """The earlier DFS: generators in the caller's order, largest multiple
+    first, last coefficient by divmod. Its output order is the contract."""
+    last = len(gens) - 1
+    out = []
+    coeffs = [0] * len(gens)
+
+    def descend(idx, rem):
+        g = gens[idx]
+        if idx == last:
+            q, r = divmod(rem, g)
+            if r == 0:
+                coeffs[idx] = q
+                out.append(tuple(coeffs))
+            return
+        for c in range(rem // g, -1, -1):
+            coeffs[idx] = c
+            descend(idx + 1, rem - c * g)
+
+    descend(0, value)
+    return out
+
+
+# up to six distinct generators below 60, in any order
+unsorted_gens = st.lists(st.integers(1, 59), min_size=1, max_size=6, unique=True).flatmap(st.permutations)
 
 
 class TestEnumeration:
@@ -34,6 +64,48 @@ class TestEnumeration:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             factorization_vectors(from_generators([2, 5]).generators, -1)
+
+    def test_cost_follows_the_large_generators(self):
+        # 10,000 vectors, but a search with 2 outermost would try each of
+        # 100,001 multiples of 2 against every multiple of 1001
+        t0 = time.perf_counter()
+        vectors = factorization_vectors((2, 1001, 1003), 200_000)
+        elapsed = time.perf_counter() - t0
+        assert len(vectors) == 10_000
+        assert vectors[0] == (100_000, 0, 0)
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+class TestOrder:
+    def test_unsorted_generators_keep_caller_order(self):
+        assert factorization_vectors((8, 3), 24) == [(3, 0), (0, 8)]
+
+    def test_worked_example_row_lists(self):
+        sg = from_generators([5, 19, 21, 22, 23])
+        expected = {
+            14: [[(-1, 1, 0, 0, 0)], [(2, -1, 0, 0, 1)], [(7, 0, -1, 0, 0)], [(3, 0, 1, -1, 0)],
+                 [(3, 0, 0, 1, -1)]],
+            16: [[(-1, 0, 1, 0, 0)], [(7, -1, 0, 0, 0)], [(3, 0, -1, 1, 0)],
+                 [(3, 0, 0, -1, 1), (0, 2, 0, -1, 0)], [(4, 1, 0, 0, -1)]],
+            17: [[(-1, 0, 0, 1, 0)], [(3, -1, 1, 0, 0)], [(3, 0, -1, 0, 1), (0, 2, -1, 0, 0)],
+                 [(4, 1, 0, -1, 0)], [(8, 0, 0, 0, -1), (0, 1, 1, 0, -1)]],
+            18: [[(-1, 0, 0, 0, 1)], [(3, -1, 0, 1, 0)], [(4, 1, -1, 0, 0)],
+                 [(8, 0, 0, -1, 0), (0, 1, 1, -1, 0)], [(4, 0, 1, 0, -1), (0, 1, 0, 1, -1)]],
+        }
+        assert sg.pseudo_frobenius() == tuple(expected)
+        gens = sg.generators
+        for f, rows in expected.items():
+            reference = [
+                [v[:i] + (-1,) + v[i:] for v in _reference_vectors(gens[:i] + gens[i + 1 :], f + n)]
+                for i, n in enumerate(gens)
+            ]
+            assert rf_row_choices(sg, f) == rows == reference
+
+    @given(unsorted_gens, st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_permuted_generators(self, gens, value):
+        gens = tuple(gens)
+        assert factorization_vectors(gens, value) == _reference_vectors(gens, value)
 
 
 class TestCounting:
