@@ -5,7 +5,8 @@ Runs ``perfbench/run.py`` of two checkouts in alternating parent/change
 pairs, one pair per workload and seed, and writes every run's result, the
 per-side medians, the git shas and the machine to BENCH_<label>.json in the
 repository root. Each side runs its own perfbench and sources, so check out
-both at the same benchmark.
+both at the same benchmark. Every run lasts the ``run_seconds`` of that
+benchmark's BENCHMARK.json; seeds 1..10 give ten pairs per workload.
 
 Usage (from the repository root):
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sweep-enum", "sweep-lattice", "cli-mix")
+SEEDS = tuple(range(1, 11))
 
 
 def git_sha(checkout: Path) -> str | None:
@@ -61,6 +63,14 @@ def machine() -> dict:
     }
 
 
+def run_seconds(sides: dict[str, Path]) -> float:
+    """The ``run_seconds`` both checkouts' BENCHMARK.json declare."""
+    declared = {json.loads((path / "BENCHMARK.json").read_text())["run_seconds"] for path in sides.values()}
+    if len(declared) != 1:
+        raise SystemExit(f"the checkouts declare different run_seconds: {sorted(declared)}")
+    return declared.pop()
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run; its result line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -91,24 +101,23 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = run_seconds(sides)
     runs = []
     for workload in WORKLOADS:
-        for seed in args.seeds:
+        for seed in SEEDS:
             order = ("parent", "change") if len(runs) % 4 == 0 else ("change", "parent")
             for side in order:
                 print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-                outcome = run_once(sides[side], workload, seed, args.seconds)
+                outcome = run_once(sides[side], workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side, **outcome})
     record = {
         "label": args.label,
         "git": {side: git_sha(path) for side, path in sides.items()},
         "machine": machine(),
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seeds": list(SEEDS),
+        "seconds": seconds,
         "runs": runs,
         "medians": medians(runs),
     }
