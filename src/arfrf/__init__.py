@@ -6,7 +6,6 @@ from .errors import (
     DimensionMismatch,
     GridTooLarge,
     InvalidFamily,
-    NotMember,
     NotNumerical,
     NotPseudoFrobenius,
     NotSublattice,
@@ -47,7 +46,6 @@ __all__ = [
     "GenericityReport",
     "GridTooLarge",
     "InvalidFamily",
-    "NotMember",
     "NotNumerical",
     "NotPseudoFrobenius",
     "NotSublattice",

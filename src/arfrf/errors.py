@@ -16,10 +16,6 @@ class NotNumerical(ArfrfError):
         )
 
 
-class NotMember(ArfrfError):
-    """An element required to lie in the semigroup does not."""
-
-
 class NotPseudoFrobenius(ArfrfError):
     """The requested integer is not a pseudo-Frobenius number of the semigroup."""
 

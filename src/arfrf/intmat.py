@@ -113,10 +113,12 @@ def hnf_coordinates(
 
 
 def kernel_basis(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Basis of the full integer kernel of the map v -> sum(v[i] * weights[i]).
+    """Basis of the full integer kernel of v -> sum(v[i] * weights[i]), for
+    positive weights.
 
     Built from the running-gcd construction, so the resulting lattice is
-    saturated: every integer vector of weight 0 lies in its span.
+    saturated: every integer vector of weight 0 lies in its span. Positive
+    weights keep every running gcd nonzero, so each step can divide by it.
     """
     e = len(weights)
     if e == 0:
@@ -129,12 +131,6 @@ def kernel_basis(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     for i in range(1, e):
         w = weights[i]
         d = gcd(g, w)
-        if d == 0:
-            # both zero so far: e_i itself is in the kernel
-            k = [0] * e
-            k[i] = 1
-            out.append(tuple(k))
-            continue
         k = [(w // d) * a for a in u]
         k[i] -= g // d
         out.append(tuple(k))

@@ -1,8 +1,12 @@
 """Numerical semigroups and their classical invariants, all in exact arithmetic.
 
-A semigroup is built once from a generator set; after that every instance is
-immutable and all queries are pure, so instances can be shared freely across
-threads. The Arf test and the Arf closure both read the multiplicity sequence.
+A semigroup is built once from a generator set, in O(m e) for multiplicity m
+and e input generators: one round-robin pass gives the Apéry table modulo m
+and the minimal system. After that every instance is immutable and all queries
+are pure, so instances can be shared freely across threads. Membership is one
+table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests the m
+Apéry candidates. The Arf test and the Arf closure both read the multiplicity
+sequence.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
-from .errors import NotMember, NotNumerical
+from .errors import NotNumerical
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,25 +49,18 @@ class NumericalSemigroup:
         m = self.multiplicity
         return sum((w - i) // m for i, w in enumerate(self.apery_table))
 
-    def apery_set(self, n: int) -> tuple[int, ...]:
-        """Apéry set with respect to a nonzero element n, indexed by residue."""
-        if n == 0 or not self.contains(n):
-            raise NotMember(f"{n} is not a nonzero element of {self}")
-        return _apery_by_residue(self.generators, n)
+    def is_pseudo_frobenius(self, f: int) -> bool:
+        """f is a positive gap and f + n_i lies in S for every minimal generator
+        n_i (Rosales & García-Sánchez, Numerical Semigroups, Prop. 2.20);
+        O(e) table lookups. For S = N no f qualifies."""
+        return f >= 1 and f not in self and all(f + n in self for n in self.generators)
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
-        """PF(S), sorted, from the maximal Apéry elements under the order
-        w <= w' iff w' - w in S; its length is the type t(S)."""
-        if self.multiplicity == 1:
-            # S = N: PF is empty by convention
-            return ()
-        ap = self.apery_table
-        maximal = [
-            w
-            for w in ap
-            if not any(w2 != w and self.contains(w2 - w) for w2 in ap)
-        ]
-        return tuple(sorted(w - self.multiplicity for w in maximal))
+        """PF(S), sorted; its length is the type t(S). Every f in PF(S) has
+        f + m in the Apéry table, so only those m candidates are tested."""
+        m = self.multiplicity
+        candidates = (w - m for w in self.apery_table)
+        return tuple(sorted(f for f in candidates if self.is_pseudo_frobenius(f)))
 
     def is_med(self) -> bool:
         """Maximal embedding dimension: e(S) == m(S)."""
@@ -103,7 +100,8 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     The input may be unsorted and contain duplicates or redundant generators;
     it is canonicalized to the unique minimal system. Raises NotNumerical when
-    the gcd is not 1.
+    the gcd is not 1. One round-robin pass over the sorted input builds the
+    Apéry table modulo m = min(gens) and the minimal system in O(m e).
     """
     cleaned = sorted(set(int(g) for g in gens))
     if not cleaned:
@@ -117,8 +115,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         raise NotNumerical(cleaned, g)
 
     m = cleaned[0]
-    apery = _apery_by_residue(cleaned, m)
-    minimal = _minimal_system(cleaned, apery)
+    apery, minimal = _round_robin(cleaned)
     frobenius = max(apery) - m  # equals -1 for S = N
     conductor = frobenius + 1
 
@@ -135,20 +132,39 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return sg
 
 
-def _minimal_system(gens: list[int], apery: tuple[int, ...]) -> tuple[int, ...]:
-    """The input generators that are not sums of two nonzero elements of S.
+def _round_robin(gens: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Apéry table of <gens> modulo m = gens[0], and its minimal system.
 
-    ``gens`` is sorted and ``apery`` is the Apéry table of S modulo gens[0].
-    A generator g is a sum of two nonzero elements iff g - h lies in S for
-    some smaller minimal generator h, and every minimal generator below g is
-    found before g, so each test is at most m table lookups.
+    The round-robin algorithm of Böcker & Lipták (Algorithmica 2007): the
+    table starts as that of <m> and takes the sorted generators in turn. For
+    generator g, each residue class p mod d = gcd(m, g) is one cycle of m/d
+    steps of +g; walking it once from the class's least entry, keeping the
+    minimum at each residue, gives the table of the larger semigroup. A
+    generator already in the semigroup of the smaller ones changes nothing and
+    is not minimal, and every other one is, so one lookup sorts each.
     """
     m = gens[0]
-    minimal: list[int] = []
-    for g in gens:
-        if all(g - h < apery[(g - h) % m] for h in minimal):
-            minimal.append(g)
-    return tuple(minimal)
+    # Each least element is a sum of fewer than m generators other than m, so
+    # m * gens[-1] lies above every entry and marks a residue not reached yet.
+    # gcd(gens) = 1 means every residue is reached, so the mark is never returned.
+    unreached = m * gens[-1]
+    table = [0] + [unreached] * (m - 1)
+    minimal = [m]
+    for g in gens[1:]:
+        if g >= table[g % m]:
+            continue
+        minimal.append(g)
+        d = gcd(m, g)
+        for p in range(d):
+            n = min(table[p::d])
+            if n == unreached:
+                continue
+            for _ in range(m // d - 1):
+                n += g
+                r = n % m
+                n = min(n, table[r])
+                table[r] = n
+    return tuple(table), tuple(minimal)
 
 
 def _multiplicity_sequence(gens: Iterable[int]) -> list[tuple[int, int]]:
@@ -168,25 +184,3 @@ def _multiplicity_sequence(gens: Iterable[int]) -> list[tuple[int, int]]:
         runs.append((a, q))
         current = {a} | {g - q * a for g in current if g != a}
     return runs
-
-
-def _apery_by_residue(gens: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
-    """Least element of <gens> in each residue class mod n, by round-robin relaxation."""
-    INF = None
-    dist: list[int | None] = [INF] * n
-    dist[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for r in range(n):
-            d = dist[r]
-            if d is None:
-                continue
-            for g in gens:
-                nd = d + g
-                r2 = nd % n
-                if dist[r2] is None or nd < dist[r2]:
-                    dist[r2] = nd
-                    changed = True
-    # gcd(gens) = 1 and n in <gens> guarantee every class is reached
-    return tuple(dist)  # type: ignore[arg-type]

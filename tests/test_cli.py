@@ -434,7 +434,14 @@ def _run_child_measured(argv, timeout=30.0, address_space=1 << 30):
 
 
 @pytest.mark.parametrize(
-    "gens", [("101", "1000003"), ("3", "1000000"), ("2", "1000001"), ("2", "1000000001")]
+    "gens",
+    [
+        ("101", "1000003"),
+        ("3", "1000000"),
+        ("2", "1000001"),
+        ("2", "1000000001"),
+        ("10001", "20001"),  # 20001 = -1 mod 10001
+    ],
 )
 def test_analyze_cost_follows_multiplicity(gens):
     code, wall, rss_mb = _run_child_measured(["analyze", *gens, "--format", "json"])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -83,10 +85,15 @@ class TestEnumeration:
                 ]
                 assert row == expected
 
-    def test_rejects_non_pf(self):
-        sg = from_generators([2, 5])
-        with pytest.raises(NotPseudoFrobenius, match=r"PF = \(3,\)"):
-            rf_matrices(sg, 4)
+    @pytest.mark.parametrize(
+        "gens, f, pf",
+        [((2, 5), 4, (3,)), ((2, 5), 0, (3,)), ((2, 5), 1, (3,)), ((2, 5), -2, (3,)), ((1,), -1, ())],
+        ids=["4", "0", "1", "-2", "N"],
+    )
+    def test_rejects_non_pf(self, gens, f, pf):
+        message = f"{f} is not pseudo-Frobenius; PF = {pf}"
+        with pytest.raises(NotPseudoFrobenius, match=f"^{re.escape(message)}$"):
+            rf_matrices(from_generators(gens), f)
 
     def test_cap(self):
         sg = from_generators([5, 19, 21, 22, 23])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arfrf.errors import NotMember, NotNumerical
+from arfrf.errors import NotNumerical
 from arfrf.semigroup import from_generators
 from arfrf.verifier import _reach_table, oracle_membership, oracle_pf
 
@@ -108,9 +108,13 @@ class TestMembership:
 
 class TestApery:
     def test_examples(self):
-        assert set(from_generators([2, 5]).apery_set(2)) == {0, 5}
-        assert set(from_generators([3, 7, 8]).apery_set(3)) == {0, 7, 8}
-        assert from_generators([1]).apery_set(1) == (0,)
+        assert from_generators([2, 5]).apery_table == (0, 5)
+        assert from_generators([3, 7, 8]).apery_table == (0, 7, 8)
+        assert from_generators([1]).apery_table == (0,)
+        # 13 = -1 mod 7: each residue is reached only after the one before it
+        assert from_generators([7, 13]).apery_table == (0, 78, 65, 52, 39, 26, 13)
+        # gcd(6, 9) = 3: the walk with 9 covers three residue classes mod 3
+        assert from_generators([6, 9, 20]).apery_table == (0, 49, 20, 9, 40, 29)
 
     def test_residue_structure(self):
         sg = from_generators([5, 19, 21, 22, 23])
@@ -119,13 +123,6 @@ class TestApery:
             assert w % 5 == i
             assert sg.contains(w)
             assert not sg.contains(w - 5)
-
-    def test_non_member_rejected(self):
-        sg = from_generators([2, 5])
-        with pytest.raises(NotMember):
-            sg.apery_set(3)
-        with pytest.raises(NotMember):
-            sg.apery_set(0)
 
     @given(gen_sets())
     @settings(max_examples=50, deadline=None)
@@ -160,7 +157,12 @@ class TestPseudoFrobenius:
     @given(gen_sets())
     @settings(max_examples=50, deadline=None)
     def test_apery_route_matches_definitional_scan(self, gens):
-        assert from_generators(gens).pseudo_frobenius() == oracle_pf(gens)
+        sg = from_generators(gens)
+        pf = oracle_pf(gens)
+        assert sg.pseudo_frobenius() == pf
+        m = sg.multiplicity
+        for f in range(-m - 1, sg.frobenius + m + 2):
+            assert sg.is_pseudo_frobenius(f) == (f in pf), f
 
 
 class TestMedArf:
