@@ -6,6 +6,9 @@ Usage:
     python scripts/rf_tables.py VARIANT S [K]
     python scripts/rf_tables.py med S M
 
+A spec that names no family instance, or an argument that is not an
+integer, prints ``error: <message>`` to stderr and exits 2.
+
 Examples:
     python scripts/rf_tables.py m4_2k 10 1     # shows the tabulation defect
     python scripts/rf_tables.py m5_4a 9        # shows the boundary omission
@@ -17,6 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from arfrf.errors import InvalidFamily
 from arfrf.families import FamilySpec, build_family, closed_form_table
 from arfrf.rfmatrix import determinant, rf_matrices
 
@@ -33,12 +37,16 @@ def main() -> int:
         print(__doc__)
         return 2
     variant = sys.argv[1]
-    s = int(sys.argv[2])
-    third = int(sys.argv[3]) if len(sys.argv) > 3 else None
-    if variant == "med":
-        spec = FamilySpec(variant, s=s, m=third)
-    else:
-        spec = FamilySpec(variant, s=s, k=third)
+    try:
+        s = int(sys.argv[2])
+        third = int(sys.argv[3]) if len(sys.argv) > 3 else None
+        if variant == "med":
+            spec = FamilySpec(variant, s=s, m=third)
+        else:
+            spec = FamilySpec(variant, s=s, k=third)
+    except (InvalidFamily, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sg = build_family(spec)
     print(f"S = <{', '.join(map(str, sg.generators))}>  conductor {sg.conductor}  "
           f"F = {sg.frobenius}")

@@ -344,7 +344,6 @@ def cmd_verify(args, argv) -> int:
         ("med_m_max", args.m_max),
         ("seed", args.seed),
         ("closure_samples", args.samples),
-        ("families", args.families),
     ):
         if value is not None:
             settings[key] = value
@@ -448,12 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=None, help="largest med-family multiplicity")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None, help="closure sample count")
-    p.add_argument(
-        "--families",
-        choices=("arf-m-le-5", "med", "all"),
-        default=None,
-        help="scope of the Conj5.3 sweep",
-    )
     p.add_argument("--report-dir", default="reports")
     p.set_defaults(func=cmd_verify)
     return parser

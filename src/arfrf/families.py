@@ -6,7 +6,9 @@ residue and least value of its conductor, its generator pattern, the builder
 of its closed-form RF table and, for the two 4k+2 variants, the largest k.
 The RF table maps every PF element to its RF matrix list as tabulated, so the
 predicted PF set is read off its keys. The "med" variant, whose multiplicity
-is part of the spec, has its own formulas. The closed forms are reproduced
+is part of the spec, has its own formulas. A ``FamilySpec`` names one instance
+and is validated when it is constructed, so every reader takes its fields as
+legal and reads the multiplicity off ``spec.m``. The closed forms are reproduced
 verbatim, typos included: the verifier's job is to diff them against
 exhaustive enumeration, not to editorialize.
 
@@ -29,13 +31,20 @@ from .rfmatrix import Matrix
 from .semigroup import NumericalSemigroup, from_generators
 
 
+def _need(cond: bool, message: str) -> None:
+    if not cond:
+        raise InvalidFamily(message)
+
+
 @dataclass(frozen=True, slots=True)
 class FamilySpec:
     """Selects one family instance: variant tag, conductor s, optional k and m.
 
     ``k`` is required by the m=4 variants carrying a 4k+2 generator; ``m`` is
     required by the "med" variant (conductor a multiple of the multiplicity,
-    generators m, s+1, ..., s+m-1) and derived from the tag otherwise.
+    generators m, s+1, ..., s+m-1) and filled in from the tag otherwise, so
+    ``spec.m`` always holds the multiplicity. A spec is validated on
+    construction: an illegal one raises ``InvalidFamily``.
     """
 
     variant: str
@@ -43,54 +52,47 @@ class FamilySpec:
     k: int | None = None
     m: int | None = None
 
+    def __post_init__(self) -> None:
+        v, s, k, m = self.variant, self.s, self.k, self.m
+        if v == "med":
+            _need(m is not None and m >= 2, "med variant needs a multiplicity m >= 2")
+            _need(s >= m and s % m == 0,
+                  f"med variant needs s >= m and s % m == 0, got s={s}, m={m}")
+            _need(k is None, "med variant takes no k")
+            return
+        row = VARIANTS.get(v)
+        if row is None:
+            raise InvalidFamily(f"unknown family variant {v!r}")
+        _need(m in (None, row.m), f"variant {v} has multiplicity {row.m}, got m={m}")
+        _need(
+            s >= row.least_s and s % row.m == row.residue,
+            f"{v} needs s >= {row.least_s} with s % {row.m} == {row.residue}, got s={s}",
+        )
+        if row.k_max is None:
+            _need(k is None, f"variant {v} takes no k")
+        else:
+            k_max = row.k_max(s)
+            _need(k is not None and 1 <= k <= k_max,
+                  f"{v} needs 1 <= k <= {k_max}, got k={k}, s={s}")
+        object.__setattr__(self, "m", row.m)
+
 
 # ---------------------------------------------------------------------------
-# validation + the readers of a variant's table row
-
-
-def _need(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidFamily(message)
-
-
-def _resolve(spec: FamilySpec) -> tuple[str, int, int, int | None]:
-    """Validate a spec and return (variant, m, s, k)."""
-    v, s, k = spec.variant, spec.s, spec.k
-    if v == "med":
-        m = spec.m
-        _need(m is not None and m >= 2, "med variant needs a multiplicity m >= 2")
-        _need(s >= m and s % m == 0, f"med variant needs s >= m and s % m == 0, got s={s}, m={m}")
-        _need(k is None, "med variant takes no k")
-        return v, m, s, None
-    row = VARIANTS.get(v)
-    if row is None:
-        raise InvalidFamily(f"unknown family variant {v!r}")
-    m = row.m
-    _need(spec.m in (None, m), f"variant {v} has multiplicity {m}, got m={spec.m}")
-    _need(
-        s >= row.least_s and s % m == row.residue,
-        f"{v} needs s >= {row.least_s} with s % {m} == {row.residue}, got s={s}",
-    )
-    if row.k_max is None:
-        _need(k is None, f"variant {v} takes no k")
-    else:
-        k_max = row.k_max(s)
-        _need(k is not None and 1 <= k <= k_max, f"{v} needs 1 <= k <= {k_max}, got k={k}, s={s}")
-    return v, m, s, k
+# the readers of a spec
 
 
 def family_generators(spec: FamilySpec) -> tuple[int, ...]:
-    v, m, s, k = _resolve(spec)
-    if v == "med":
-        return (m, *range(s + 1, s + m))
-    return VARIANTS[v].generators(s, k)
+    if spec.variant == "med":
+        return (spec.m, *range(spec.s + 1, spec.s + spec.m))
+    return VARIANTS[spec.variant].generators(spec.s, spec.k)
 
 
 def build_family(spec: FamilySpec) -> NumericalSemigroup:
     """Construct the family instance and sanity-check multiplicity and conductor."""
-    _, m, s, _ = _resolve(spec)
     sg = from_generators(family_generators(spec))
-    assert sg.multiplicity == m and sg.conductor == s, f"family postcondition broke: {spec}"
+    assert sg.multiplicity == spec.m and sg.conductor == spec.s, (
+        f"family postcondition broke: {spec}"
+    )
     return sg
 
 
@@ -101,7 +103,7 @@ def closed_form_pf(spec: FamilySpec) -> tuple[int, ...]:
 
 def pf_label(spec: FamilySpec, f: int) -> str:
     """Stable label of a PF element relative to the conductor (e.g. "s-1", "4k-2")."""
-    _, _, s, k = _resolve(spec)
+    s, k = spec.s, spec.k
     if k is not None and f == 4 * k - 2:
         return "4k-2"
     if f >= s:
@@ -128,10 +130,10 @@ def closed_form_table(spec: FamilySpec) -> dict[int, list[Matrix]]:
     The multiplicity <= 5 tables claim completeness; the one "med" formula
     matrix per PF element is only one member of the full enumeration.
     """
-    v, m, s, k = _resolve(spec)
-    if v == "med":
+    m, s = spec.m, spec.s
+    if spec.variant == "med":
         return {s - j: [_med_matrix(m, s, j)] for j in range(m - 1, 0, -1)}
-    table = VARIANTS[v].rf_table(s, k)
+    table = VARIANTS[spec.variant].rf_table(s, spec.k)
     return {f: _expand(table[f]) for f in sorted(table)}
 
 
@@ -167,10 +169,11 @@ def _med_matrix(m: int, s: int, k: int) -> Matrix:
 def cor_det_matrix(spec: FamilySpec) -> Matrix:
     """The med-family matrix of the Frobenius number whose determinant is
     (-1)^(m-1) (s-1): the k=1 instance of the formula."""
-    v, m, s, _ = _resolve(spec)
-    if v != "med":
-        raise InvalidFamily(f"determinant identity matrix is defined for 'med', not {v!r}")
-    return _med_matrix(m, s, 1)
+    if spec.variant != "med":
+        raise InvalidFamily(
+            f"determinant identity matrix is defined for 'med', not {spec.variant!r}"
+        )
+    return _med_matrix(spec.m, spec.s, 1)
 
 
 def _rows(*rows: tuple[int, ...]) -> list[list[tuple[int, ...]]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import closing
 from typing import Iterator, Sequence
 
 from .errors import NotPseudoFrobenius, TooManyMatrices
@@ -82,19 +83,22 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return bareiss_determinant(matrix)
 
 
+def _first_frobenius_matrix(sg: NumericalSemigroup, wanted) -> Matrix | None:
+    """First RF matrix of F(S), in the canonical enumeration order, whose
+    determinant satisfies ``wanted``; None when none does or F(S) < 1."""
+    if sg.frobenius < 1:
+        return None
+    with closing(iter_rf_matrices(sg, sg.frobenius)) as matrices:
+        return next((m for m in matrices if wanted(determinant(m))), None)
+
+
 def find_frobenius_det_witness(sg: NumericalSemigroup) -> Matrix | None:
     """First RF matrix of F(S) whose determinant has absolute value F(S).
 
     Scans the canonical enumeration order, so the result is reproducible.
     Returns None when no matrix qualifies (or when PF(S) is empty).
     """
-    f = sg.frobenius
-    if f < 1:
-        return None
-    for matrix in iter_rf_matrices(sg, f):
-        if abs(determinant(matrix)) == f:
-            return matrix
-    return None
+    return _first_frobenius_matrix(sg, lambda det: abs(det) == sg.frobenius)
 
 
 def sign_target(sg: NumericalSemigroup) -> int:
@@ -108,13 +112,7 @@ def check_sign_conjecture(sg: NumericalSemigroup) -> Matrix | None:
     Scans the canonical enumeration order, as :func:`find_frobenius_det_witness`
     does. Returns None when no matrix qualifies (or when PF(S) is empty).
     """
-    if sg.frobenius < 1:
-        return None
-    target = sign_target(sg)
-    for matrix in iter_rf_matrices(sg, sg.frobenius):
-        if determinant(matrix) == target:
-            return matrix
-    return None
+    return _first_frobenius_matrix(sg, sign_target(sg).__eq__)
 
 
 def column_zero_pair(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:

@@ -155,17 +155,12 @@ class VerifyConfig:
     oracle_samples: int = 1000
     seed: int = DEFAULT_SEED
     fixtures_path: str | None = None
-    families: str = "all"  # Conj5.3 scope: "arf-m-le-5", "med", or "all"
 
     def __post_init__(self) -> None:
         for name, least in (("s_max", 1), ("med_s_factor", 1), ("med_m_min", 2),
                             ("closure_samples", 0), ("oracle_samples", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}; got {getattr(self, name)}")
-        if self.families not in ("all", "arf-m-le-5", "med"):
-            raise ValueError(
-                f"families must be one of all, arf-m-le-5, med; got {self.families!r}"
-            )
 
     def check_caps(self) -> None:
         if self.s_max > 1_000:
@@ -184,8 +179,8 @@ _CONFIG_INT_KEYS = {f.name for f in fields(VerifyConfig) if f.type == "int"}
 def parse_config_text(text: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment. Returns raw settings.
 
-    Recognized keys: the VerifyConfig integers, ``families``, ``fixtures``
-    (path), and ``claims`` (comma-separated claim ids or "default").
+    Recognized keys: the VerifyConfig integers, ``fixtures`` (path), and
+    ``claims`` (comma-separated claim ids or "default").
     """
     settings: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,8 +195,6 @@ def parse_config_text(text: str) -> dict:
                 settings[key] = int(value)
             except ValueError:
                 raise ValueError(f"line {lineno}: {key} needs an integer, got {value!r}")
-        elif key == "families":
-            settings["families"] = value
         elif key == "fixtures":
             settings["fixtures_path"] = value
         elif key == "claims":
@@ -356,9 +349,7 @@ def _med_grid(config: VerifyConfig) -> dict:
 
 
 def _scope_grid(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False) -> dict:
-    grid: dict = {}
-    if multiplicities:
-        grid = {"multiplicities": list(multiplicities), "s_max": config.s_max}
+    grid: dict = {"multiplicities": list(multiplicities), "s_max": config.s_max}
     if med:
         grid.update(_med_grid(config))
     return grid
@@ -366,14 +357,6 @@ def _scope_grid(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False) ->
 
 def _closure_grid(config: VerifyConfig) -> dict:
     return {**_med_grid(config), "closure_samples": config.closure_samples}
-
-
-def _conj53_scope(config: VerifyConfig) -> dict:
-    """Conj5.3 sweeps the families named by ``config.families``."""
-    return {
-        "multiplicities": () if config.families == "med" else (2, 3, 4, 5),
-        "med": config.families != "arf-m-le-5",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +601,8 @@ CLAIMS: dict[str, Claim] = {
         _check_index_vs_det),
     "Conj5.3": Claim(
         "an RF matrix of F(S) with determinant exactly (-1)^(e+1) F(S) exists",
-        lambda c: _scope_grid(c, **_conj53_scope(c)),
-        lambda c: _scope_universe(c, **_conj53_scope(c)),
+        lambda c: _scope_grid(c, med=True),
+        lambda c: _scope_universe(c, med=True),
         _check_sign_witness),
     "Thm5.4.1": Claim(
         "sign-exact determinant witness over the multiplicity<=5 families",

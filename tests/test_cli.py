@@ -255,6 +255,12 @@ class TestEdgeCases:
         )
         assert code == 4
 
+    def test_families_flag_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--claim", "Conj5.3", "--families", "med",
+                  "--report-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_repeated_claims_run_in_order(self, capsys, tmp_path):
         code, doc, _ = run_json(
             capsys, "verify", "--claim", "Prop3.2", "--claim", "Prop3.1",
@@ -333,6 +339,7 @@ class TestVerifyCommand:
             ([], "claims =", 4),
             ([], "claims = ,", 4),
             (["--claim", "Prop3.1"], "grid_cap = 5000", 4),
+            (["--claim", "Prop3.1"], "families = all", 4),
         ],
     )
     def test_empty_or_invalid_grid_never_passes(

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arfrf.errors import InvalidFamily, NotPseudoFrobenius
@@ -39,6 +43,13 @@ class TestBuild:
             build_family(FamilySpec("med", s=25, m=6))
         with pytest.raises(InvalidFamily):
             build_family(FamilySpec("nope", s=8))
+
+    def test_specs_validated_on_construction(self):
+        with pytest.raises(InvalidFamily, match="s % 2"):
+            FamilySpec("m2", s=3)
+        with pytest.raises(InvalidFamily, match="multiplicity"):
+            FamilySpec("med", s=24)
+        assert FamilySpec("m4_0k", s=20, k=2).m == 4
 
     def test_postconditions_over_sweep(self):
         for variant in M_LE_5_VARIANTS:
@@ -162,10 +173,33 @@ class TestInstances:
             legal = []
             for s in range(-2, 121):
                 for k in (None, *range(0, s + 1)):
-                    spec = FamilySpec(variant, s=s, k=k)
                     try:
+                        spec = FamilySpec(variant, s=s, k=k)
                         build_family(spec)
                     except InvalidFamily:
                         continue
                     legal.append(spec)
             assert family_instances(variant, 120) == legal, variant
+
+
+RF_TABLES = Path(__file__).resolve().parents[1] / "scripts" / "rf_tables.py"
+
+
+def run_rf_tables(*argv):
+    return subprocess.run(
+        [sys.executable, str(RF_TABLES), *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("argv", [("m2", "3"), ("med", "24"), ("m2", "x")])
+def test_rf_tables_bad_input_exit_2(argv):
+    proc = run_rf_tables(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_rf_tables_shows_boundary_omission():
+    proc = run_rf_tables("m5_4a", "9")
+    assert proc.returncode == 0
+    assert "RF(8): 4 tabulated, 6 enumerated" in proc.stdout.splitlines()
