@@ -20,16 +20,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from arfrf.cli import format_matrix
 from arfrf.errors import InvalidFamily
 from arfrf.families import FamilySpec, build_family, closed_form_table
 from arfrf.rfmatrix import determinant, rf_matrices
 
 
 def show(matrix, tag):
-    width = max(len(str(x)) for row in matrix for x in row)
     print(f"  {tag}  det = {determinant(matrix)}")
-    for row in matrix:
-        print("    " + "  ".join(f"{x:>{width}}" for x in row))
+    for row in format_matrix(matrix):
+        print("    " + row)
 
 
 def main() -> int:

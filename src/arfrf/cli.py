@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -34,11 +35,11 @@ from .errors import (
     UnknownClaim,
 )
 from .lattice import (
-    binomial_from_vector,
     is_generic,
     kernel_lattice,
     lattice_index,
     rf_difference_lattice,
+    rf_relations,
     row_differences,
 )
 from .rfmatrix import (
@@ -248,10 +249,9 @@ def cmd_relations(args, argv) -> int:
     V = kernel_lattice(sg)
     W = rf_difference_lattice(witness)
     diffs = row_differences(witness)
-    relations = [binomial_from_vector(d) for d in diffs]
+    relations = rf_relations(witness)
     index = lattice_index(W, V)
-    e = sg.embedding_dimension
-    pairs = [(i, j) for i in range(e) for j in range(i + 1, e)]
+    pairs = list(itertools.combinations(range(sg.embedding_dimension), 2))
     payload = {
         "generators": list(sg.generators),
         "frobenius": frob,

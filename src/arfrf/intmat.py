@@ -1,11 +1,13 @@
-"""Exact integer matrix primitives: Bareiss determinants, Hermite forms, kernels.
+"""Exact integer matrix primitives: Bareiss determinants, Hermite forms and
+coordinates in a Hermite basis.
 
 Everything here works on plain Python ints (arbitrary precision); no floats.
+Kernels need no routine of their own: ``lattice.kernel_lattice`` reads V(S)
+off one Hermite form.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 
@@ -49,6 +51,9 @@ def hermite_normal_form(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tup
     entries above a pivot are reduced into [0, pivot). Zero rows are dropped, so
     the result is a basis; two generating sets span the same lattice iff their
     Hermite forms are identical.
+
+    Each column is cleared below its pivot by one unimodular Bezout step per
+    nonzero entry (Cohen, GTM 138, section 2.4): entries a, b become gcd, 0.
     """
     rows = [list(v) for v in vectors if any(v)]
     for r in rows:
@@ -56,32 +61,25 @@ def hermite_normal_form(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tup
             raise ValueError(f"vector length {len(r)} != ambient dimension {dim}")
     rank = 0
     for col in range(dim):
-        # gcd-eliminate column `col` among rows[rank:]
-        while True:
-            live = [i for i in range(rank, len(rows)) if rows[i][col] != 0]
-            if not live:
-                break
-            i_min = min(live, key=lambda i: abs(rows[i][col]))
-            rows[rank], rows[i_min] = rows[i_min], rows[rank]
-            done = True
-            head = rows[rank][col]
-            for i in range(rank + 1, len(rows)):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // head
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
-                    if rows[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if rank < len(rows) and rows[rank][col] != 0:
-            if rows[rank][col] < 0:
-                rows[rank] = [-a for a in rows[rank]]
-            pivot = rows[rank][col]
-            for i in range(rank):
-                q = rows[i][col] // pivot
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
+        live = [i for i in range(rank, len(rows)) if rows[i][col] != 0]
+        if not live:
+            continue
+        rows[rank], rows[live[0]] = rows[live[0]], rows[rank]
+        top = rows[rank]
+        for i in live[1:]:
+            row = rows[i]
+            a, b = top[col], row[col]
+            g, x, y = _bezout(a, b)
+            top, rows[i] = ([x * p + y * r for p, r in zip(top, row)],
+                            [(a // g) * r - (b // g) * p for p, r in zip(top, row)])
+        if top[col] < 0:
+            top = [-a for a in top]
+        rows[rank] = top
+        for i in range(rank):
+            q = rows[i][col] // top[col]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+        rank += 1
     return tuple(tuple(r) for r in rows[:rank])
 
 
@@ -112,37 +110,8 @@ def hnf_coordinates(
     return tuple(coords)
 
 
-def kernel_basis(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Basis of the full integer kernel of v -> sum(v[i] * weights[i]), for
-    positive weights.
-
-    Built from the running-gcd construction, so the resulting lattice is
-    saturated: every integer vector of weight 0 lies in its span. Positive
-    weights keep every running gcd nonzero, so each step can divide by it.
-    """
-    e = len(weights)
-    if e == 0:
-        return ()
-    out = []
-    # carry: vector u with weights . u == g (running gcd)
-    g = weights[0]
-    u = [0] * e
-    u[0] = 1
-    for i in range(1, e):
-        w = weights[i]
-        d = gcd(g, w)
-        k = [(w // d) * a for a in u]
-        k[i] -= g // d
-        out.append(tuple(k))
-        x, y = _bezout(g, w)
-        u = [x * a for a in u]
-        u[i] += y
-        g = d
-    return hermite_normal_form(out, e)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """Coefficients (x, y) with a*x + b*y == gcd(a, b)."""
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g == gcd(a, b) == a*x + b*y."""
     old_r, r = a, b
     old_x, x = 1, 0
     old_y, y = 0, 1
@@ -152,5 +121,5 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
         old_x, x = x, old_x - q * x
         old_y, y = y, old_y - q * y
     if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
+        return -old_r, -old_x, -old_y
+    return old_r, old_x, old_y

@@ -3,9 +3,10 @@ and the genericity test for the defining toric ideal.
 
 A lattice is its canonical Hermite basis, the tuple of row tuples that
 ``hermite_normal_form`` returns, so two lattices are equal iff their bases
-are. [V(S) : W(S)] is read from coordinates in V(S)'s Hermite basis; W(S)'s
-own basis and the pairwise row differences are built only where ``arfrf
-relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
+are. V(S) is read off one Hermite form, that of the rows (n_i, e_i), which
+span {(degree(x), x)}. [V(S) : W(S)] is read from coordinates in V(S)'s
+Hermite basis; W(S)'s own basis and the pairwise row differences are built
+only where ``arfrf relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
 relations read only its rows, so they take no semigroup.
 """
 
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotSublattice
-from .intmat import (
-    bareiss_determinant,
-    hermite_normal_form,
-    hnf_coordinates,
-    kernel_basis,
-)
+from .intmat import bareiss_determinant, hermite_normal_form, hnf_coordinates
 from .rfmatrix import Matrix, iter_rf_matrices
 from .semigroup import NumericalSemigroup
 
@@ -40,11 +36,15 @@ Basis = tuple[tuple[int, ...], ...]
 def kernel_lattice(sg: NumericalSemigroup) -> Basis:
     """V(S): the full integer kernel of the degree map, rank e - 1, in Hermite form.
 
-    The construction is saturated by design; any integer vector of degree 0
-    lies in the span.
+    The rows (n_i, e_i) span {(degree(x), x)}; as gcd(n_i) = 1, their Hermite
+    form has a first row starting with 1 and later rows starting with 0. The
+    later rows, without that 0, span every integer vector of degree 0.
     """
-    basis = kernel_basis(sg.generators)
-    assert len(basis) == sg.embedding_dimension - 1
+    e = sg.embedding_dimension
+    first, *rest = hermite_normal_form(
+        [(n, *(int(i == j) for j in range(e))) for i, n in enumerate(sg.generators)], e + 1)
+    basis = tuple(row[1:] for row in rest)
+    assert first[0] == 1 and len(basis) == e - 1
     return basis
 
 

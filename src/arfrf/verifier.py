@@ -143,6 +143,13 @@ def cofactor_determinant(rows) -> int:
 # configuration and fixtures
 
 
+# field: (least, most) a VerifyConfig accepts, None for no bound; below least
+# is a ValueError, above most is GridTooLarge. The closure sampler can draw
+# only 1,207 closures, so closure_samples stops at 1,000.
+_BOUNDS = {"s_max": (1, 1_000), "med_s_factor": (1, None), "med_m_min": (2, None),
+           "med_m_max": (None, 16), "closure_samples": (0, 1_000), "oracle_samples": (0, 100_000)}
+
+
 @dataclass(frozen=True, slots=True)
 class VerifyConfig:
     """Grid bounds and seeds for the claim sweeps."""
@@ -157,20 +164,13 @@ class VerifyConfig:
     fixtures_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name, least in (("s_max", 1), ("med_s_factor", 1), ("med_m_min", 2),
-                            ("closure_samples", 0), ("oracle_samples", 0)):
-            if getattr(self, name) < least:
+        for name, (least, _) in _BOUNDS.items():
+            if least is not None and getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}; got {getattr(self, name)}")
-
-    def check_caps(self) -> None:
-        if self.s_max > 1_000:
-            raise GridTooLarge(f"s_max {self.s_max} exceeds grid cap 1000")
-        if self.med_m_max > 16:
-            raise GridTooLarge(f"med_m_max {self.med_m_max} exceeds the cap 16")
-        if self.closure_samples > 1_000:  # the sampler can draw only 1,207 closures
-            raise GridTooLarge(f"closure_samples {self.closure_samples} exceeds the cap 1000")
-        if self.oracle_samples > 100_000:
-            raise GridTooLarge(f"oracle_samples {self.oracle_samples} exceeds the cap 100000")
+        for name, (_, most) in _BOUNDS.items():
+            if most is not None and getattr(self, name) > most:
+                cap = "grid cap" if name == "s_max" else "the cap"
+                raise GridTooLarge(f"{name} {getattr(self, name)} exceeds {cap} {most}")
 
 
 _CONFIG_INT_KEYS = {f.name for f in fields(VerifyConfig) if f.type == "int"}
@@ -671,17 +671,16 @@ def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimRe
     return report
 
 
-def _check_request(config: VerifyConfig, claim_ids) -> None:
+def _check_request(claim_ids) -> None:
     for cid in claim_ids:
         if cid not in CLAIMS:
             raise UnknownClaim(f"unknown claim id {cid!r}; known: {sorted(CLAIMS)}")
-    config.check_caps()
 
 
 def verify_claim(claim_id: str, config: VerifyConfig | None = None, fixtures=None) -> ClaimReport:
     """Run one registered claim against ``fixtures`` (default: those ``config`` names)."""
     config = config or VerifyConfig()
-    _check_request(config, [claim_id])
+    _check_request([claim_id])
     if fixtures is None:
         fixtures = load_fixtures(config.fixtures_path)
     return _sweep(claim_id, config, fixtures)
@@ -690,11 +689,12 @@ def verify_claim(claim_id: str, config: VerifyConfig | None = None, fixtures=Non
 def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:
     """Run a claim list (default suite when None); empty list runs nothing.
 
-    Every claim id, the caps and the fixtures are checked before the first sweep.
+    Every claim id and the fixtures are checked before the first sweep; the
+    config checked its own bounds when it was built.
     """
     config = config or VerifyConfig()
     if claim_ids is None:
         claim_ids = DEFAULT_SUITE
-    _check_request(config, claim_ids)
+    _check_request(claim_ids)
     fixtures = load_fixtures(config.fixtures_path)
     return [verify_claim(cid, config, fixtures) for cid in claim_ids]

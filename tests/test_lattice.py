@@ -1,8 +1,9 @@
+from itertools import combinations
 from math import gcd
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arfrf.errors import DimensionMismatch, NotSublattice
@@ -68,6 +69,9 @@ class TestKernelLattice:
         assert _maximal_minor_gcd(V, 4) == 1
 
     @given(gen_sets(max_value=50, max_size=6))
+    @example((10, *range(31, 40)))
+    @example((16, *range(49, 64)))  # the med shape with m = 16, s = 48
+    @example((101, 100003))
     @settings(max_examples=60, deadline=None)
     def test_saturation(self, gens):
         sg = from_generators(gens)
@@ -205,6 +209,69 @@ def _lattice_and_vector(draw):
     noise = draw(st.one_of(st.just([0] * dim), st.lists(entry, min_size=dim, max_size=dim)))
     vector = [sum(l * g[j] for l, g in zip(lams, gens)) + noise[j] for j in range(dim)]
     return gens, dim, vector
+
+
+@st.composite
+def _generating_set_and_moves(draw):
+    """A generating set, its dimension, and a random source for row moves."""
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(-20, 20)
+    gens = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=5))
+    return gens, dim, draw(st.randoms(use_true_random=False))
+
+
+def _rank_and_determinantal_divisor(rows, dim):
+    """(r, gcd of the r x r minors) for the rank r of ``rows``, by cofactors.
+
+    Row moves that keep the lattice keep both numbers, so a sublattice of the
+    lattice of ``rows`` with the same two numbers is that lattice.
+    """
+    for r in range(min(len(rows), dim), 0, -1):
+        g = 0
+        for picked in combinations(rows, r):
+            for cols in combinations(range(dim), r):
+                g = gcd(g, cofactor_determinant([[row[c] for c in cols] for row in picked]))
+        if g:
+            return r, g
+    return 0, 1
+
+
+class TestHermiteNormalForm:
+    @given(_generating_set_and_moves())
+    @settings(max_examples=200, deadline=None)
+    def test_against_the_definition(self, case):
+        gens, dim, rng = case
+        H = hermite_normal_form(gens, dim)
+        # positive pivots in strictly increasing columns, entries above each
+        # pivot in [0, pivot)
+        pivot_cols = []
+        for k, row in enumerate(H):
+            col = next(c for c, x in enumerate(row) if x)
+            assert row[col] > 0
+            assert all(0 <= above[col] < row[col] for above in H[:k])
+            pivot_cols.append(col)
+        assert pivot_cols == sorted(set(pivot_cols))
+        # the same lattice: every input vector has coordinates in H, and the
+        # rank and the determinantal divisor agree
+        assert all(hnf_coordinates(H, v) is not None for v in gens)
+        assert _rank_and_determinantal_divisor(H, dim) == _rank_and_determinantal_divisor(gens, dim)
+        # the form depends on the lattice only
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert hermite_normal_form(shuffled, dim) == H
+        combos = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            combos.append([sum(c * v[j] for c, v in zip(coeffs, gens)) for j in range(dim)])
+        assert hermite_normal_form([*gens, *combos], dim) == H
+        moved = [list(v) for v in gens]  # a random unimodular matrix times gens
+        for _ in range(rng.randint(0, 8) if len(moved) > 1 else 0):
+            i, j = rng.sample(range(len(moved)), 2)
+            c = rng.choice([-1, 1]) * rng.randint(1, 4)
+            moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
+            if rng.random() < 0.5:
+                moved[i], moved[j] = [-a for a in moved[j]], moved[i]
+        assert hermite_normal_form(moved, dim) == H
 
 
 class TestHnfCoordinates:

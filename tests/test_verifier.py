@@ -80,7 +80,7 @@ class TestClaims:
         # sample_arf_closures can draw only 1,207 distinct closures, so
         # 2,000 would loop for ever instead of failing
         with pytest.raises(GridTooLarge):
-            VerifyConfig(closure_samples=2000).check_caps()
+            VerifyConfig(closure_samples=2000)
 
     def test_unknown_claim_fails_before_any_sweep(self, monkeypatch):
         def no_sweep(*args):
