@@ -14,7 +14,10 @@ Usage (from the repository root):
         --parent ../parent-checkout --change .
 
 Runs take the order workload, then seed, and the side that goes first
-alternates from one pair to the next. Uses the standard library only.
+alternates from one pair to the next. A run that reads ``correct: false``
+or has failed operations stops the recording with a non-zero exit that
+names its workload, seed and side, and nothing is written. Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -82,6 +85,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def require_correct(outcome: dict, workload: str, seed: int, side: str) -> None:
+    """Stop the recording at a run whose outputs were wrong or whose operations failed:
+    its times measure a broken program, so no median may take them in."""
+    if not outcome["correct"] or outcome["failed"]:
+        raise SystemExit(f"{workload} seed {seed} ({side}): correct {outcome['correct']}, "
+                         f"failed {outcome['failed']} of {outcome['attempted']}; nothing recorded")
+
+
 def medians(runs: list[dict]) -> dict:
     """Median of each metric per workload and side."""
     out: dict = {}
@@ -111,6 +122,7 @@ def main(argv=None) -> int:
             for side in order:
                 print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
                 outcome = run_once(sides[side], workload, seed, seconds)
+                require_correct(outcome, workload, seed, side)
                 runs.append({"workload": workload, "seed": seed, "side": side, **outcome})
     record = {
         "label": args.label,

@@ -14,7 +14,8 @@ Exit codes:
   3  invalid --pf selection (not a pseudo-Frobenius number), or no PF
      elements are available for the request
   4  verify configuration errors (bad config file, unknown claim,
-     oversized grid, unreadable fixtures file, unusable report directory)
+     oversized grid, unreadable or malformed fixtures file, unusable report
+     directory)
   5  RF enumeration exceeds the --max-rf safety cap
 """
 

@@ -5,22 +5,21 @@ programming, definitional scans, cofactor expansion) so they share no code
 with the primary implementations they check.
 
 Claims are rows of the ``CLAIMS`` table, under stable ids. A row names a
-grid (the bounds echoed in the report), a universe and a check:
+grid (the bounds echoed in the report), its sources and a check. A source
+is a slice of the one instance walk, ``_instances``: a multiplicity<=5
+variant, the med shapes, the seeded Arf-closure samples or the seeded random
+generator sets, in that order. A check takes one instance and returns
+``(units checked, problems)``.
 
-- a universe walks the instances for a config and yields ``(semigroup,
-  where, spec)``; ``where`` locates the instance in a counterexample. There
-  are four: the multiplicity<=5 families, the med shapes, med plus the
-  seeded Arf-closure samples, and seeded random generator sets.
-- a check takes one instance and returns ``(units checked, problems)``.
-
-``_sweep`` is the one loop: it builds the ClaimReport, walks the universe,
-turns problems into counterexamples or grouped table mismatches, and
-decides the status as "pass", "fail", or "mismatch-with-details"; the last
-means every observed discrepancy matches a pre-registered fixture shipped
-with the package (two suspected typos and one single-instance omission in
-the closed-form tables, each carrying the enumerated correction). A claim
-that checked nothing fails. Reports are deterministic: same config, same
-bytes.
+``verify_all`` is the one engine; ``verify_claim`` runs it on one claim. It
+builds each instance once, runs each distinct check on it once, and folds
+the result into every claim that reads its source: problems become
+counterexamples or grouped table mismatches. A claim reports "pass",
+"fail", or "mismatch-with-details"; the last means every observed
+discrepancy matches a pre-registered fixture shipped with the package (two
+suspected typos and one single-instance omission in the closed-form tables,
+each carrying the enumerated correction). A claim that checked nothing
+fails. Reports are deterministic: same config, same bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from importlib import resources
 from itertools import islice
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import families
 from .errors import GridTooLarge, UnknownClaim
@@ -208,21 +207,21 @@ def parse_config_text(text: str) -> dict:
 
 def load_fixtures(path: str | None = None) -> list[dict]:
     """Pre-registered expected mismatches (shipped data unless overridden)."""
-    if path is not None:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    return json.loads(
-        resources.files("arfrf").joinpath("data/expected_mismatches.json").read_text("utf-8")
-    )
+    shipped = resources.files("arfrf").joinpath("data/expected_mismatches.json")
+    source = shipped if path is None else Path(path)
+    fixtures = json.loads(source.read_text(encoding="utf-8"))
+    if not (isinstance(fixtures, list) and all(
+            isinstance(f, dict) and isinstance(f.get("variant"), str)
+            and isinstance(f.get("pf_label"), str) and type(f.get("s", 0)) is int
+            for f in fixtures)):
+        raise ValueError(f"fixtures in {source} must be a JSON list of objects, each with a "
+                         "string variant, a string pf_label and an optional integer s")
+    return fixtures
 
 
 def _fixture_covers(fixture: dict, mismatch: dict) -> bool:
-    if fixture["variant"] != mismatch["variant"]:
-        return False
-    if fixture["pf_label"] != mismatch["pf_label"]:
-        return False
-    if "s" in fixture and mismatch["s_values"] != [fixture["s"]]:
-        return False
-    return True
+    same_locus = all(fixture[key] == mismatch[key] for key in ("variant", "pf_label"))
+    return same_locus and ("s" not in fixture or mismatch["s_values"] == [fixture["s"]])
 
 
 # ---------------------------------------------------------------------------
@@ -291,57 +290,44 @@ def random_semigroups(count: int, seed: int):
 
 
 def _spec_dict(spec: families.FamilySpec) -> dict:
-    d = {"variant": spec.variant, "s": spec.s}
-    if spec.k is not None:
-        d["k"] = spec.k
-    if spec.variant == "med":
-        d["m"] = spec.m
-    return d
+    d = {"variant": spec.variant, "s": spec.s, "k": spec.k,
+         "m": spec.m if spec.variant == "med" else None}
+    return {key: value for key, value in d.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
-# universes: each yields (semigroup, where, spec)
+# the instance walk
 
 
-def _family_universe(config: VerifyConfig, variants):
-    """Multiplicity<=5 family instances up to ``s_max``, variant by variant."""
-    for variant in variants:
-        for spec in families.family_instances(variant, config.s_max):
-            yield families.build_family(spec), {"spec": _spec_dict(spec)}, spec
+def _instances(config: VerifyConfig, sources):
+    """Yield ``(source, semigroup, spec, where)`` for each instance of ``sources``, built once.
+
+    In walk order: the multiplicity<=5 variants up to ``s_max``, the med shapes
+    <m, s+1, ..., s+m-1> with s in {m, 2m, ..., med_s_factor*m}, the Arf-closure
+    samples, and the random generator sets, specified by (generators, 4 probes).
+    """
+    for variant in families.M_LE_5_VARIANTS:
+        if variant in sources:
+            for spec in families.family_instances(variant, config.s_max):
+                yield variant, families.build_family(spec), spec, {"spec": _spec_dict(spec)}
+    if "med" in sources:
+        for m in range(config.med_m_min, config.med_m_max + 1):
+            s_values = [m * t for t in range(1, config.med_s_factor + 1)]
+            for spec in families.med_instances(m, s_values):
+                yield "med", families.build_family(spec), spec, {"spec": _spec_dict(spec)}
+    if "closure" in sources:
+        origin = {"origin": "arf-closure-sample", "seed": config.seed}
+        for sg in sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed):
+            yield "closure", sg, None, {"semigroup": list(sg.generators), "origin": origin}
+    if "random" in sources:
+        rng = random.Random(config.seed + 1)
+        for gens in random_semigroups(config.oracle_samples, config.seed):
+            probes = [rng.randint(0, VALUE_CAP) for _ in range(4)]
+            yield "random", from_generators(gens), (gens, probes), {"gens": list(gens)}
 
 
-def _med_universe(config: VerifyConfig):
-    """med shapes <m, s+1, ..., s+m-1> with s in {m, 2m, ..., med_s_factor*m}."""
-    for m in range(config.med_m_min, config.med_m_max + 1):
-        s_values = [m * t for t in range(1, config.med_s_factor + 1)]
-        for spec in families.med_instances(m, s_values):
-            yield families.build_family(spec), {"spec": _spec_dict(spec)}, spec
-
-
-def _big_multiplicity_universe(config: VerifyConfig):
-    """The med instances, then the seeded Arf-closure samples."""
-    for sg, where, spec in _med_universe(config):
-        yield sg, {"semigroup": list(sg.generators), "origin": where["spec"]}, spec
-    origin = {"origin": "arf-closure-sample", "seed": config.seed}
-    for sg in sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed):
-        yield sg, {"semigroup": list(sg.generators), "origin": origin}, None
-
-
-def _random_universe(config: VerifyConfig):
-    """Seeded random generator sets; the spec is (input generators, 4 probe values)."""
-    rng = random.Random(config.seed + 1)
-    for gens in random_semigroups(config.oracle_samples, config.seed):
-        probes = [rng.randint(0, VALUE_CAP) for _ in range(4)]
-        yield from_generators(gens), {"gens": list(gens)}, (gens, probes)
-
-
-def _scope_universe(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False):
-    """The multiplicity<=5 variants of the given multiplicities, then (if ``med``) med."""
-    variants = [v for v in families.M_LE_5_VARIANTS
-                if families.VARIANTS[v].m in multiplicities]
-    yield from _family_universe(config, variants)
-    if med:
-        yield from _med_universe(config)
+def _variants(*multiplicities) -> tuple[str, ...]:
+    return tuple(v for v in families.M_LE_5_VARIANTS if families.VARIANTS[v].m in multiplicities)
 
 
 def _med_grid(config: VerifyConfig) -> dict:
@@ -349,10 +335,8 @@ def _med_grid(config: VerifyConfig) -> dict:
 
 
 def _scope_grid(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False) -> dict:
-    grid: dict = {"multiplicities": list(multiplicities), "s_max": config.s_max}
-    if med:
-        grid.update(_med_grid(config))
-    return grid
+    med_grid = _med_grid(config) if med else {}
+    return {"multiplicities": list(multiplicities), "s_max": config.s_max, **med_grid}
 
 
 def _closure_grid(config: VerifyConfig) -> dict:
@@ -387,9 +371,8 @@ def _check_closed_form(sg, spec):
 
 
 def _check_det_witness(sg, spec):
-    if find_frobenius_det_witness(sg) is None:
-        return 1, [{"problem": "no determinant witness"}]
-    return 1, []
+    found = find_frobenius_det_witness(sg) is not None
+    return 1, [] if found else [{"problem": "no determinant witness"}]
 
 
 def _check_med_invariants(sg, spec):
@@ -420,9 +403,8 @@ def _check_formula_rows(sg, spec):
 def _check_cor_det(sg, spec):
     det = determinant(families.cor_det_matrix(spec))
     expected = (-1) ** (spec.m - 1) * (spec.s - 1)
-    if det != expected:
-        return 1, [{"problem": f"det {det} != (-1)^(m-1)(s-1) = {expected}"}]
-    return 1, []
+    problem = f"det {det} != (-1)^(m-1)(s-1) = {expected}"
+    return 1, [] if det == expected else [{"problem": problem}]
 
 
 def _check_apery_shape(sg, spec):
@@ -470,9 +452,8 @@ def _check_index_vs_det(sg, spec):
 
 
 def _check_sign_witness(sg, spec):
-    if check_sign_conjecture(sg) is not None:
-        return 1, []
-    return 1, [{"problem": f"no RF matrix of {sg.frobenius} has determinant {sign_target(sg)}"}]
+    problem = f"no RF matrix of {sg.frobenius} has determinant {sign_target(sg)}"
+    return 1, [] if check_sign_conjecture(sg) is not None else [{"problem": problem}]
 
 
 def _check_generic(sg, spec):
@@ -539,21 +520,22 @@ def _check_oracles(sg, spec):
 
 @dataclass(frozen=True, slots=True)
 class Claim:
-    """One row of the claim table: what a sweep walks and what it checks."""
+    """One row of the claim table: the sources it reads and what it checks.
+
+    A source is a tag of ``M_LE_5_VARIANTS``, "med", "closure" or "random".
+    ``by_semigroup`` locates a med instance as a closure sample is located.
+    """
 
     description: str
     grid: Callable[[VerifyConfig], dict]
-    universe: Callable[[VerifyConfig], Iterable[tuple]]
+    sources: tuple[str, ...]
     check: Callable[[NumericalSemigroup, object], tuple[int, list[dict]]]
+    by_semigroup: bool = False
 
 
 def _closed_form_claim(description: str, variants) -> Claim:
-    return Claim(
-        description,
-        lambda c: {"variants": list(variants), "s_max": c.s_max},
-        lambda c: _family_universe(c, variants),
-        _check_closed_form,
-    )
+    return Claim(description, lambda c: {"variants": list(variants), "s_max": c.s_max},
+                 tuple(variants), _check_closed_form)
 
 
 CLAIMS: dict[str, Claim] = {
@@ -571,55 +553,55 @@ CLAIMS: dict[str, Claim] = {
     "Cor3.13": Claim(
         "every multiplicity<=5 family instance has an RF matrix of the Frobenius "
         "number with |det| equal to the Frobenius number",
-        _scope_grid, _scope_universe, _check_det_witness),
+        _scope_grid, families.M_LE_5_VARIANTS, _check_det_witness),
     "Lemma4.1": Claim(
         "generators m, s+1, ..., s+m-1 with m | s give an Arf semigroup with the "
         "expected invariants",
-        _med_grid, _med_universe, _check_med_invariants),
+        _med_grid, ("med",), _check_med_invariants),
     "Prop4.2": Claim(
         "the formula matrix of each PF element of a med-family instance appears "
         "among the enumerated RF matrices",
-        _med_grid, _med_universe, _check_formula_rows),
+        _med_grid, ("med",), _check_formula_rows),
     "Cor4.3": Claim(
         "for med-family instances the k=1 formula matrix of the Frobenius number "
         "has determinant exactly (-1)^(m-1) (s-1)",
-        _med_grid, _med_universe, _check_cor_det),
+        _med_grid, ("med",), _check_cor_det),
     "Remark4.4": Claim(
         "Arf semigroups with multiplicity above 5: at least three generators reach "
         "the conductor, w(m-1) = s - sbar + m - 1, and w(1) is s+1 or s - sbar + m + 1",
-        _closure_grid, _big_multiplicity_universe, _check_apery_shape),
+        _closure_grid, ("med", "closure"), _check_apery_shape, by_semigroup=True),
     "Lemma4.5": Claim(
         "for Arf semigroups with multiplicity above 5, every RF matrix of the "
         "Frobenius number has a column with two zero entries",
-        _closure_grid, _big_multiplicity_universe, _check_zero_pairs),
+        _closure_grid, ("med", "closure"), _check_zero_pairs, by_semigroup=True),
     "Thm5.2-equiv": Claim(
         "over every swept Arf instance: some RF matrix of F(S) has |det| = F(S) iff "
         "some RF matrix has [V(S):W(S)] = 1; index and determinant stay consistent "
         "matrix by matrix",
         lambda c: {**_med_grid(c), "s_max": c.s_max},
-        lambda c: _scope_universe(c, med=True),
+        (*families.M_LE_5_VARIANTS, "med"),
         _check_index_vs_det),
     "Conj5.3": Claim(
         "an RF matrix of F(S) with determinant exactly (-1)^(e+1) F(S) exists",
         lambda c: _scope_grid(c, med=True),
-        lambda c: _scope_universe(c, med=True),
+        (*families.M_LE_5_VARIANTS, "med"),
         _check_sign_witness),
     "Thm5.4.1": Claim(
         "sign-exact determinant witness over the multiplicity<=5 families",
-        _scope_grid, _scope_universe, _check_sign_witness),
+        _scope_grid, families.M_LE_5_VARIANTS, _check_sign_witness),
     "Thm5.4.2": Claim(
         "sign-exact determinant witness over the med families",
-        _med_grid, _med_universe, _check_sign_witness),
+        _med_grid, ("med",), _check_sign_witness),
     "Thm5.6": Claim(
         "Arf semigroups with multiplicity 2 or 3 are generic",
         lambda c: _scope_grid(c, (2, 3)),
-        lambda c: _scope_universe(c, (2, 3)),
+        _variants(2, 3),
         _check_generic),
     "Thm5.7": Claim(
         "Arf semigroups with multiplicity above 3 are not generic, with "
         "re-checkable witnesses",
         lambda c: _scope_grid(c, (4, 5), med=True),
-        lambda c: _scope_universe(c, (4, 5), med=True),
+        (*_variants(4, 5), "med"),
         _check_not_generic),
     "OracleAgreement": Claim(
         "membership, pseudo-Frobenius, factorization-count and determinant oracles "
@@ -627,7 +609,7 @@ CLAIMS: dict[str, Claim] = {
         lambda c: {"samples": c.oracle_samples, "max_generator": MAX_GENERATOR,
                    "max_embedding_dimension": MAX_EMBEDDING_DIMENSION,
                    "value_cap": VALUE_CAP, "seed": c.seed},
-        _random_universe, _check_oracles),
+        ("random",), _check_oracles),
 }
 
 # every claim in table order, with Props3.1-3.12 standing for its twelve single-claim splits
@@ -639,24 +621,24 @@ SUITES = {
 }
 
 
-def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimReport:
-    """Check every instance of the claim's universe and decide the report's status."""
-    claim = CLAIMS[claim_id]
-    report = ClaimReport(claim_id=claim_id, description=claim.description, grid=claim.grid(config))
-    loci: dict[tuple[str, str], dict] = {}
-    for sg, where, spec in claim.universe(config):
-        checked, problems = claim.check(sg, spec)
-        report.checked += checked
-        for problem in problems:
-            if "locus" not in problem:
-                report.counterexamples.append({**where, **problem})
-                continue
-            variant, label = key = problem.pop("locus")
-            locus = loci.setdefault(key, {"variant": variant, "pf_label": label, "instances": 0,
-                                          "s_values": [], "example": {**where, **problem}})
-            locus["instances"] += 1
-            if spec.s not in locus["s_values"]:
-                locus["s_values"].append(spec.s)
+def _fold(report: ClaimReport, loci: dict, where: dict, spec, checked: int, problems) -> None:
+    """Add one instance's check result to a claim's report, changing nothing in the result."""
+    report.checked += checked
+    for problem in problems:
+        if "locus" not in problem:
+            report.counterexamples.append({**where, **problem})
+            continue
+        variant, label = key = problem["locus"]
+        example = {**where, **{k: v for k, v in problem.items() if k != "locus"}}
+        locus = loci.setdefault(key, {"variant": variant, "pf_label": label, "instances": 0,
+                                      "s_values": [], "example": example})
+        locus["instances"] += 1
+        if spec.s not in locus["s_values"]:
+            locus["s_values"].append(spec.s)
+
+
+def _finish(report: ClaimReport, loci: dict, fixtures: list[dict]) -> None:
+    """Group the mismatches, match them to the fixtures and decide the status."""
     report.mismatches = [loci[k] for k in sorted(loci)]
     for m in report.mismatches:
         m["expected"] = any(_fixture_covers(f, m) for f in fixtures)
@@ -668,33 +650,46 @@ def _sweep(claim_id: str, config: VerifyConfig, fixtures: list[dict]) -> ClaimRe
         report.status = "fail"
     elif report.mismatches:
         report.status = "mismatch-with-details"
-    return report
 
 
-def _check_request(claim_ids) -> None:
-    for cid in claim_ids:
-        if cid not in CLAIMS:
-            raise UnknownClaim(f"unknown claim id {cid!r}; known: {sorted(CLAIMS)}")
-
-
-def verify_claim(claim_id: str, config: VerifyConfig | None = None, fixtures=None) -> ClaimReport:
-    """Run one registered claim against ``fixtures`` (default: those ``config`` names)."""
-    config = config or VerifyConfig()
-    _check_request([claim_id])
-    if fixtures is None:
-        fixtures = load_fixtures(config.fixtures_path)
-    return _sweep(claim_id, config, fixtures)
+def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> ClaimReport:
+    """Run one registered claim against the fixtures ``config`` names."""
+    return verify_all(config, [claim_id])[0]
 
 
 def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:
-    """Run a claim list (default suite when None); empty list runs nothing.
+    """Run a claim list (default suite when None) in one walk; an empty list runs nothing.
 
-    Every claim id and the fixtures are checked before the first sweep; the
-    config checked its own bounds when it was built.
+    Every claim id and the fixtures are checked before the first instance is
+    built; the config checked its own bounds when it was built. On each
+    instance each distinct check runs once, for every claim that reads the
+    instance's source, so a claim's report equals that of the claim alone.
     """
     config = config or VerifyConfig()
     if claim_ids is None:
         claim_ids = DEFAULT_SUITE
-    _check_request(claim_ids)
+    for cid in claim_ids:
+        if cid not in CLAIMS:
+            raise UnknownClaim(f"unknown claim id {cid!r}; known: {sorted(CLAIMS)}")
     fixtures = load_fixtures(config.fixtures_path)
-    return [verify_claim(cid, config, fixtures) for cid in claim_ids]
+    claims = [CLAIMS[cid] for cid in claim_ids]
+    reports = [ClaimReport(claim_id=cid, description=claim.description, grid=claim.grid(config))
+               for cid, claim in zip(claim_ids, claims)]
+    loci: list[dict] = [{} for _ in claims]
+    readers: dict[str, list[int]] = {}
+    for i, claim in enumerate(claims):
+        for source in claim.sources:
+            readers.setdefault(source, []).append(i)
+    for source, sg, spec, where in _instances(config, readers):
+        results: dict = {}
+        for i in readers[source]:
+            claim = claims[i]
+            if claim.check not in results:
+                results[claim.check] = claim.check(sg, spec)
+            located = where
+            if claim.by_semigroup and source == "med":
+                located = {"semigroup": list(sg.generators), "origin": where["spec"]}
+            _fold(reports[i], loci[i], located, spec, *results[claim.check])
+    for report, found in zip(reports, loci):
+        _finish(report, found, fixtures)
+    return reports

@@ -83,12 +83,53 @@ class TestClaims:
             VerifyConfig(closure_samples=2000)
 
     def test_unknown_claim_fails_before_any_sweep(self, monkeypatch):
-        def no_sweep(*args):
-            raise AssertionError("swept before the claim list was checked")
+        def no_build(spec):
+            raise AssertionError("built an instance before the claim list was checked")
 
-        monkeypatch.setattr(verifier, "_sweep", no_sweep)
+        monkeypatch.setattr(families, "build_family", no_build)
         with pytest.raises(UnknownClaim):
             verify_all(QUICK, ["Prop3.1", "Bogus"])
+
+    def test_each_instance_built_once(self, monkeypatch):
+        built = []
+        build = families.build_family
+
+        def counted(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(families, "build_family", counted)
+        verify_all(QUICK)
+        assert built and len(built) == len(set(built))
+
+    def test_interleaved_claims_match_claims_run_alone(self):
+        # claims that share an instance share its check result, which none may change
+        ids = ["Props3.1-3.12", "Prop3.12", "Conj5.3", "Thm5.4.1", "Thm5.6", "Thm5.6"]
+        together = [report.to_dict() for report in verify_all(QUICK, ids)]
+        assert together == [verify_claim(cid, QUICK).to_dict() for cid in ids]
+
+    def test_counterexample_locations(self, monkeypatch):
+        def fail(sg, spec):
+            return 1, [{"problem": "forced"}]
+
+        ids = ["Prop3.1", "Prop3.4", "Lemma4.1", "Remark4.4", "OracleAgreement"]
+        for cid in ids:
+            monkeypatch.setitem(CLAIMS, cid, dataclasses.replace(CLAIMS[cid], check=fail))
+        tiny = VerifyConfig(s_max=8, med_m_max=6, med_s_factor=1, closure_samples=1,
+                            oracle_samples=1)
+        m2, m4_0k, med, remark, oracle = (r.counterexamples for r in verify_all(tiny, ids))
+        assert m2[0] == {"spec": {"variant": "m2", "s": 2}, "problem": "forced"}
+        assert m4_0k == [{"spec": {"variant": "m4_0k", "s": 8, "k": 1}, "problem": "forced"}]
+        med_spec = {"variant": "med", "s": 6, "m": 6}
+        assert med == [{"spec": med_spec, "problem": "forced"}]
+        [closure] = sample_arf_closures(1, verifier.CLOSURE_MULTIPLICITIES, tiny.seed)
+        assert remark == [
+            {"semigroup": [6, 7, 8, 9, 10, 11], "origin": med_spec, "problem": "forced"},
+            {"semigroup": list(closure.generators),
+             "origin": {"origin": "arf-closure-sample", "seed": tiny.seed}, "problem": "forced"},
+        ]
+        [gens] = random_semigroups(1, tiny.seed)
+        assert oracle == [{"gens": list(gens), "problem": "forced"}]
 
     def test_rf_tables_built_once_per_instance(self, monkeypatch):
         calls = []
@@ -174,6 +215,28 @@ class TestFixtures:
         report = verify_claim("Prop3.6", config)
         # with no registered fixtures the tabulation mismatch is a failure
         assert report.status == "fail"
+
+    @pytest.mark.parametrize("text", [
+        '{"variant": "m5_4b", "pf_label": "s-2"}',
+        '[{"pf_label": "s-1"}]',
+        '[{"variant": "m5_4a", "pf_label": "s-1", "s": "9"}]',
+        '[{"variant": "m5_4a", "pf_label": "s-1", "s": true}]',
+    ])
+    def test_malformed_fixtures_exit_4_before_any_sweep(self, tmp_path, capsys, monkeypatch, text):
+        def no_build(spec):
+            raise AssertionError("built an instance before the fixtures were checked")
+
+        monkeypatch.setattr(families, "build_family", no_build)
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(text)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"fixtures = {fixtures}\n")
+        reports = tmp_path / "reports"
+        code = main(["verify", "--config", str(config), "--claim", "Prop3.12", "--s-max", "30",
+                     "--report-dir", str(reports)])
+        assert code == 4
+        assert "fixtures" in capsys.readouterr().err
+        assert list(reports.glob("*.json")) == []
 
 
 class TestConfigParsing:
