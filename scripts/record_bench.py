@@ -4,9 +4,12 @@
 Runs ``perfbench/run.py`` of two checkouts in alternating parent/change
 pairs, one pair per workload and seed, and writes every run's result, the
 per-side medians, the git shas and the machine to BENCH_<label>.json in the
-repository root. Each side runs its own perfbench and sources, so check out
-both at the same benchmark. Every run lasts the ``run_seconds`` of that
-benchmark's BENCHMARK.json; seeds 1..10 give ten pairs per workload.
+repository root. Each side runs its own perfbench and sources, so both
+checkouts must hold the same benchmark: before the first run, the bytes of
+BENCHMARK.json and of every file under perfbench/ (``__pycache__`` aside) are
+compared, and the first path that differs stops the recording with a non-zero
+exit. Every run lasts the ``run_seconds`` of that BENCHMARK.json; seeds 1..10
+give ten pairs per workload.
 
 Usage (from the repository root):
 
@@ -66,12 +69,20 @@ def machine() -> dict:
     }
 
 
-def run_seconds(sides: dict[str, Path]) -> float:
-    """The ``run_seconds`` both checkouts' BENCHMARK.json declare."""
-    declared = {json.loads((path / "BENCHMARK.json").read_text())["run_seconds"] for path in sides.values()}
-    if len(declared) != 1:
-        raise SystemExit(f"the checkouts declare different run_seconds: {sorted(declared)}")
-    return declared.pop()
+def benchmark_files(checkout: Path) -> set[Path]:
+    """BENCHMARK.json and every file under perfbench/, relative to ``checkout``."""
+    found = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {path.relative_to(checkout) for path in found
+            if path.is_file() and "__pycache__" not in path.parts}
+
+
+def require_same_benchmark(sides: dict[str, Path]) -> None:
+    """Stop at the first benchmark file that is missing on one side or differs."""
+    parent, change = sides.values()
+    for rel in sorted(benchmark_files(parent) | benchmark_files(change)):
+        a, b = parent / rel, change / rel
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            raise SystemExit(f"the checkouts hold different benchmarks: {rel} differs; nothing run")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -114,7 +125,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = run_seconds(sides)
+    require_same_benchmark(sides)
+    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
     runs = []
     for workload in WORKLOADS:
         for seed in SEEDS:

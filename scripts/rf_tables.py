@@ -48,8 +48,7 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sg = build_family(spec)
-    print(f"S = <{', '.join(map(str, sg.generators))}>  conductor {sg.conductor}  "
-          f"F = {sg.frobenius}")
+    print(f"S = {sg}  conductor {sg.conductor}  F = {sg.frobenius}")
     for f, matrices in closed_form_table(spec).items():
         tabulated = set(matrices)
         enumerated = set(rf_matrices(sg, f))

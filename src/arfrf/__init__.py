@@ -15,7 +15,6 @@ from .errors import (
 from .factorization import count_factorizations, factorization_vectors
 from .families import FamilySpec, build_family, closed_form_pf, closed_form_rf
 from .lattice import (
-    Binomial,
     GenericityReport,
     degree,
     is_generic,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArfrfError",
-    "Binomial",
     "DimensionMismatch",
     "FamilySpec",
     "GenericityReport",

@@ -15,7 +15,7 @@ Exit codes:
      elements are available for the request
   4  verify configuration errors (bad config file, unknown claim,
      oversized grid, unreadable or malformed fixtures file, unusable report
-     directory)
+     directory or report file)
   5  RF enumeration exceeds the --max-rf safety cap
 """
 
@@ -36,11 +36,11 @@ from .errors import (
     UnknownClaim,
 )
 from .lattice import (
+    binomial_from_vector,
     is_generic,
     kernel_lattice,
     lattice_index,
     rf_difference_lattice,
-    rf_relations,
     row_differences,
 )
 from .rfmatrix import (
@@ -73,7 +73,8 @@ def render_monomial(exponents) -> str:
 
 
 def render_binomial(binomial) -> str:
-    return f"{render_monomial(binomial.plus)} - {render_monomial(binomial.minus)}"
+    plus, minus = binomial
+    return f"{render_monomial(plus)} - {render_monomial(minus)}"
 
 
 def format_matrix(rows) -> list[str]:
@@ -81,17 +82,15 @@ def format_matrix(rows) -> list[str]:
     return ["  ".join(f"{x:>{width}}" for x in row) for row in rows]
 
 
-def _emit(doc: dict, fmt: str, lines: list[str], out=None) -> None:
-    out = out or sys.stdout
+def _emit(argv, payload, fmt: str, lines: list[str]) -> None:
+    """Print the output document {schema_version, command, payload} as JSON,
+    or its text rendering ``lines``."""
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True), file=out)
+        doc = {"schema_version": SCHEMA_VERSION, "command": argv, "payload": payload}
+        print(json.dumps(doc, sort_keys=True))
     else:
         for line in lines:
-            print(line, file=out)
-
-
-def _document(args_list, payload) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": args_list, "payload": payload}
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +137,16 @@ def semigroup_lines(payload: dict) -> list[str]:
 def cmd_analyze(args, argv) -> int:
     sg = from_generators(args.generators)
     payload = semigroup_payload(sg)
-    _emit(_document(argv, payload), args.format, semigroup_lines(payload))
+    _emit(argv, payload, args.format, semigroup_lines(payload))
     return 0
 
 
 def cmd_rf(args, argv) -> int:
     sg = from_generators(args.generators)
     pf = sg.pseudo_frobenius()
-    if args.pf is not None and args.pf not in pf:
-        print(
-            f"error: {args.pf} is not a pseudo-Frobenius number; PF = {list(pf)}",
-            file=sys.stderr,
-        )
-        return 3
     targets = [args.pf] if args.pf is not None else list(pf)
     blocks = []
-    lines = [f"S = <{', '.join(map(str, sg.generators))}>   PF = {list(pf)}"]
+    lines = [f"S = {sg}   PF = {list(pf)}"]
     for f in targets:
         if args.count_only:
             count = rf_matrix_count(sg, f)
@@ -191,7 +184,7 @@ def cmd_rf(args, argv) -> int:
                 f"sign-exact witness (target {payload['sign_target']}): "
                 f"{'found' if sign_found else 'absent'}"
             )
-    _emit(_document(argv, payload), args.format, lines)
+    _emit(argv, payload, args.format, lines)
     return 0
 
 
@@ -218,7 +211,7 @@ def cmd_generic(args, argv) -> int:
         "witness": witness,
     }
     lines = [
-        f"S = <{', '.join(map(str, sg.generators))}>",
+        f"S = {sg}",
         f"generic: {'yes' if verdict.generic else 'no'}",
         f"witness: {verdict.describe()}",
     ]
@@ -228,7 +221,7 @@ def cmd_generic(args, argv) -> int:
             lines.append("")
     elif not verdict.generic:
         lines.extend("  " + row for row in format_matrix(verdict.column_clash[1]))
-    _emit(_document(argv, payload), args.format, lines)
+    _emit(argv, payload, args.format, lines)
     return 0 if verdict.generic else 1
 
 
@@ -250,7 +243,6 @@ def cmd_relations(args, argv) -> int:
     V = kernel_lattice(sg)
     W = rf_difference_lattice(witness)
     diffs = row_differences(witness)
-    relations = rf_relations(witness)
     index = lattice_index(W, V)
     pairs = list(itertools.combinations(range(sg.embedding_dimension), 2))
     payload = {
@@ -266,19 +258,19 @@ def cmd_relations(args, argv) -> int:
             {
                 "i": i + 1,
                 "j": j + 1,
-                "plus": list(b.plus),
-                "minus": list(b.minus),
-                "binomial": render_binomial(b),
-                "full_support": b.has_full_support(),
+                "plus": list(plus),
+                "minus": list(minus),
+                "binomial": render_binomial((plus, minus)),
+                "full_support": all(p or m for p, m in zip(plus, minus)),
             }
-            for (i, j), b in zip(pairs, relations)
+            for (i, j), (plus, minus) in zip(pairs, map(binomial_from_vector, diffs))
         ],
         "kernel_basis": V,
         "difference_basis": W,
         "index": index if index is not None else "infinite",
         "note": note,
     }
-    lines = [f"S = <{', '.join(map(str, sg.generators))}>   F = {frob}"]
+    lines = [f"S = {sg}   F = {frob}"]
     if note:
         lines.append(f"note: {note}")
     lines.append(f"RF matrix (det = {payload['determinant']}):")
@@ -292,7 +284,7 @@ def cmd_relations(args, argv) -> int:
     lines.append(f"V(S) basis: {list(V)}")
     lines.append(f"W(S) basis: {list(W)}")
     lines.append(f"[V(S) : W(S)] = {payload['index']}")
-    _emit(_document(argv, payload), args.format, lines)
+    _emit(argv, payload, args.format, lines)
     return 0
 
 
@@ -307,75 +299,70 @@ def cmd_closure(args, argv) -> int:
         "added_elements": added,
     }
     lines = [
-        f"input S = <{', '.join(map(str, sg.generators))}>",
+        f"input S = {sg}",
         f"already arf: {'yes' if payload['was_arf'] else 'no'}",
         f"closure generators: {', '.join(map(str, closure.generators))}",
         f"added elements below the conductor: {added or '-'}",
     ]
     lines.extend(semigroup_lines(payload["closure"]))
-    _emit(_document(argv, payload), args.format, lines)
+    _emit(argv, payload, args.format, lines)
     return 0
 
 
 def cmd_verify(args, argv) -> int:
-    settings: dict = {}
-    claim_ids = None
-    if args.suite is not None:
-        if args.suite not in verifier.SUITES:
-            print(
-                f"error: unknown suite {args.suite!r}; known: {sorted(verifier.SUITES)}",
-                file=sys.stderr,
-            )
-            return 4
-        settings.update(verifier.SUITES[args.suite])
-    if args.config is not None:
-        try:
-            settings.update(verifier.parse_config_text(Path(args.config).read_text()))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 4
-    if "claims" in settings:
-        claim_ids = settings.pop("claims")
-        if claim_ids == ["default"]:
-            claim_ids = None
-    if args.claim:
-        claim_ids = args.claim
-    for key, value in (
-        ("s_max", args.s_max),
-        ("med_m_max", args.m_max),
-        ("seed", args.seed),
-        ("closure_samples", args.samples),
-    ):
-        if value is not None:
-            settings[key] = value
     report_dir = Path(args.report_dir)
     try:
+        settings: dict = {}
+        if args.suite is not None:
+            if args.suite not in verifier.SUITES:
+                raise ValueError(
+                    f"unknown suite {args.suite!r}; known: {sorted(verifier.SUITES)}"
+                )
+            settings.update(verifier.SUITES[args.suite])
+        if args.config is not None:
+            try:
+                settings.update(verifier.parse_config_text(Path(args.config).read_text()))
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read config: {exc}") from exc
+        claim_ids = settings.pop("claims", None)
+        if claim_ids == ["default"]:
+            claim_ids = None
+        if args.claim:
+            claim_ids = args.claim
+        for key, value in (
+            ("s_max", args.s_max),
+            ("med_m_max", args.m_max),
+            ("seed", args.seed),
+            ("closure_samples", args.samples),
+        ):
+            if value is not None:
+                settings[key] = value
         config = verifier.VerifyConfig(**settings)
         report_dir.mkdir(parents=True, exist_ok=True)
         reports = verifier.verify_all(config, claim_ids)
+        ok = verifier.aggregate_ok(reports)
+        summary = {
+            "config": {key: getattr(config, key) for key in verifier._CONFIG_INT_KEYS},
+            "claims": [
+                {"claim_id": r.claim_id, "status": r.status, "checked": r.checked}
+                for r in reports
+            ],
+            "ok": ok,
+        }
+        for report in reports:
+            path = report_dir / f"{report.claim_id.replace('/', '_')}.json"
+            path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+        (report_dir / "summary.json").write_text(
+            json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        )
     except (OSError, UnknownClaim, GridTooLarge, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    ok = verifier.aggregate_ok(reports)
-    summary = {
-        "config": {key: getattr(config, key) for key in verifier._CONFIG_INT_KEYS},
-        "claims": [
-            {"claim_id": r.claim_id, "status": r.status, "checked": r.checked}
-            for r in reports
-        ],
-        "ok": ok,
-    }
-    for report in reports:
-        path = report_dir / f"{report.claim_id.replace('/', '_')}.json"
-        path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    (report_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
     lines = [f"{r.claim_id:20s} {r.status:24s} checked={r.checked}" for r in reports]
     lines.append(f"reports written to {report_dir}")
     lines.append("result: " + ("ok" if ok else "FAIL"))
     payload = {"summary": summary, "report_dir": str(report_dir)}
-    _emit(_document(argv, payload), args.format, lines)
+    _emit(argv, payload, args.format, lines)
     return 0 if ok else 1
 
 

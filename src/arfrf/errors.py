@@ -9,10 +9,8 @@ class NotNumerical(ArfrfError):
     """The generator set does not generate a numerical semigroup (gcd != 1)."""
 
     def __init__(self, gens, gcd):
-        self.gens = tuple(gens)
-        self.gcd = gcd
         super().__init__(
-            f"generators {self.gens} have gcd {gcd}; a numerical semigroup needs gcd 1"
+            f"generators {tuple(gens)} have gcd {gcd}; a numerical semigroup needs gcd 1"
         )
 
 
@@ -20,9 +18,7 @@ class NotPseudoFrobenius(ArfrfError):
     """The requested integer is not a pseudo-Frobenius number of the semigroup."""
 
     def __init__(self, value, pf):
-        self.value = value
-        self.pf = tuple(pf)
-        super().__init__(f"{value} is not pseudo-Frobenius; PF = {self.pf}")
+        super().__init__(f"{value} is not a pseudo-Frobenius number; PF = {list(pf)}")
 
 
 class InvalidFamily(ArfrfError):
@@ -49,6 +45,4 @@ class TooManyMatrices(ArfrfError):
     """RF enumeration would exceed the caller-imposed cap."""
 
     def __init__(self, count, cap):
-        self.count = count
-        self.cap = cap
         super().__init__(f"enumeration would produce {count} matrices, above the cap {cap}")

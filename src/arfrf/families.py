@@ -102,13 +102,20 @@ def closed_form_pf(spec: FamilySpec) -> tuple[int, ...]:
 
 
 def pf_label(spec: FamilySpec, f: int) -> str:
-    """Stable label of a PF element relative to the conductor (e.g. "s-1", "4k-2")."""
-    s, k = spec.s, spec.k
-    if k is not None and f == 4 * k - 2:
+    """Stable label of a tabulated PF element relative to the conductor (e.g.
+    "s-1", "4k-2"); NotPseudoFrobenius for any other f."""
+    pf = closed_form_pf(spec)
+    if f not in pf:
+        raise NotPseudoFrobenius(f, pf)
+    return _label(spec, f)
+
+
+def _label(spec: FamilySpec, f: int) -> str:
+    """``pf_label`` for an f the caller took from ``closed_form_table(spec)``,
+    so the table is not built a second time to check it."""
+    if spec.k is not None and f == 4 * spec.k - 2:
         return "4k-2"
-    if f >= s:
-        raise NotPseudoFrobenius(f, closed_form_pf(spec))
-    return f"s-{s - f}"
+    return f"s-{spec.s - f}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +171,6 @@ def _med_matrix(m: int, s: int, k: int) -> Matrix:
             row[i - k - 1] = 1
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def cor_det_matrix(spec: FamilySpec) -> Matrix:
-    """The med-family matrix of the Frobenius number whose determinant is
-    (-1)^(m-1) (s-1): the k=1 instance of the formula."""
-    if spec.variant != "med":
-        raise InvalidFamily(
-            f"determinant identity matrix is defined for 'med', not {spec.variant!r}"
-        )
-    return _med_matrix(spec.m, spec.s, 1)
 
 
 def _rows(*rows: tuple[int, ...]) -> list[list[tuple[int, ...]]]:

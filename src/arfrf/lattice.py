@@ -31,6 +31,8 @@ def degree(sg: NumericalSemigroup, vector: Sequence[int]) -> int:
 
 
 Basis = tuple[tuple[int, ...], ...]
+# x^plus - x^minus as (plus, minus): disjoint supports, equal degrees
+Binomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def kernel_lattice(sg: NumericalSemigroup) -> Basis:
@@ -92,34 +94,14 @@ def lattice_index(vectors: Sequence[Sequence[int]], ambient: Basis) -> int | Non
     return abs(bareiss_determinant(coords)) or None
 
 
-@dataclass(frozen=True, slots=True)
-class Binomial:
-    """x^plus - x^minus with disjoint supports and equal degrees.
-
-    The plus side is the lexicographically larger exponent vector; that is the
-    package-wide sign convention for rendering relations.
-    """
-
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(
-            i for i, (p, m) in enumerate(zip(self.plus, self.minus)) if p or m
-        )
-
-    def has_full_support(self) -> bool:
-        return len(self.support) == len(self.plus)
-
-
 def binomial_from_vector(vector: Sequence[int]) -> Binomial:
-    """Split v into v+ / v- and orient by the lexicographic convention."""
+    """Split v into v+ / v- and orient the pair: the lexicographically larger
+    exponent vector is the plus side, the package-wide sign convention."""
     plus = tuple(x if x > 0 else 0 for x in vector)
     minus = tuple(-x if x < 0 else 0 for x in vector)
     if minus > plus:
         plus, minus = minus, plus
-    return Binomial(plus=plus, minus=minus)
+    return plus, minus
 
 
 def rf_relations(matrix: Matrix) -> list[Binomial]:

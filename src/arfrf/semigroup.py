@@ -34,7 +34,7 @@ class NumericalSemigroup:
     apery_table: tuple[int, ...] = field(compare=False, repr=False)
 
     def __str__(self) -> str:
-        return "<" + ",".join(map(str, self.generators)) + ">"
+        return "<" + ", ".join(map(str, self.generators)) + ">"
 
     def contains(self, n: int) -> bool:
         """Membership via the Apéry table: n is in S iff n >= w(n mod m)."""

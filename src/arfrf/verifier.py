@@ -364,7 +364,7 @@ def _check_closed_form(sg, spec):
         enum = set(iter_rf_matrices(sg, f))
         closed = set(table[f])
         if enum != closed:
-            locus = (spec.variant, families.pf_label(spec, f))
+            locus = (spec.variant, families._label(spec, f))
             problems.append({"locus": locus, "f": f, "formula_only": sorted(closed - enum),
                              "enumeration_only": sorted(enum - closed)})
     return len(pf), problems
@@ -401,7 +401,8 @@ def _check_formula_rows(sg, spec):
 
 
 def _check_cor_det(sg, spec):
-    det = determinant(families.cor_det_matrix(spec))
+    [matrix] = families.closed_form_rf(spec, spec.s - 1)
+    det = determinant(matrix)
     expected = (-1) ** (spec.m - 1) * (spec.s - 1)
     problem = f"det {det} != (-1)^(m-1)(s-1) = {expected}"
     return 1, [] if det == expected else [{"problem": problem}]

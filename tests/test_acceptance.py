@@ -8,7 +8,7 @@ lines and timings.
 import json
 import time
 
-from arfrf.families import cor_det_matrix, med_instances
+from arfrf.families import closed_form_rf, med_instances
 from arfrf.lattice import kernel_lattice, lattice_index, rf_difference_lattice
 from arfrf.rfmatrix import determinant, find_frobenius_det_witness, rf_matrices
 from arfrf.semigroup import from_generators
@@ -134,7 +134,7 @@ def test_criterion_4_determinant_witnesses(capsys):
         witness = find_frobenius_det_witness(sg)
         assert witness is not None
         assert abs(determinant(witness)) == sg.frobenius
-        matrix = cor_det_matrix(spec)
+        [matrix] = closed_form_rf(spec, spec.s - 1)
         assert determinant(matrix) == (-1) ** (spec.m - 1) * (spec.s - 1)
     assert verify_claim("Cor4.3", CONFIG).status == "pass"
     with capsys.disabled():

@@ -10,7 +10,6 @@ import pytest
 
 from arfrf import rfmatrix
 from arfrf.cli import main, render_binomial, render_monomial
-from arfrf.lattice import Binomial
 from arfrf.rfmatrix import rf_row_choices
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -34,8 +33,7 @@ class TestRendering:
         assert render_monomial((0, 0)) == "1"
 
     def test_binomial(self):
-        b = Binomial(plus=(5, 0), minus=(0, 2))
-        assert render_binomial(b) == "x1^5 - x2^2"
+        assert render_binomial(((5, 0), (0, 2))) == "x1^5 - x2^2"
 
 
 class TestAnalyze:
@@ -379,6 +377,16 @@ class TestVerifyCommand:
         )
         assert code == 4
         assert err.startswith("error: ") and "taken" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("blocked", ["Cor4.3.json", "summary.json"])
+    def test_blocked_report_path_exit_4(self, capsys, tmp_path, blocked):
+        (tmp_path / blocked).mkdir()
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "Cor4.3", "--m-max", "6", "--report-dir", str(tmp_path)
+        )
+        assert code == 4
+        assert err.startswith("error: ") and blocked in err and err.count("\n") == 1
         assert out == ""
 
     def test_reports_byte_identical(self, capsys, tmp_path):

@@ -12,7 +12,6 @@ from arfrf.families import (
     build_family,
     closed_form_pf,
     closed_form_rf,
-    cor_det_matrix,
     family_instances,
     pf_label,
 )
@@ -76,7 +75,14 @@ class TestClosedForms:
     def test_med_k1_matches_det_identity(self):
         spec = FamilySpec("med", s=24, m=6)
         [matrix] = closed_form_rf(spec, 23)
-        assert matrix == cor_det_matrix(spec)
+        assert matrix == (
+            (-1, 0, 0, 0, 0, 1),
+            (8, -1, 0, 0, 0, 0),
+            (4, 1, -1, 0, 0, 0),
+            (4, 0, 1, -1, 0, 0),
+            (4, 0, 0, 1, -1, 0),
+            (4, 0, 0, 0, 1, -1),
+        )
         assert determinant(matrix) == (-1) ** 5 * 23
 
     def test_pf_labels(self):
@@ -85,6 +91,15 @@ class TestClosedForms:
         assert pf_label(spec, 9) == "s-1"
         with pytest.raises(NotPseudoFrobenius):
             closed_form_rf(spec, 8)
+
+    @pytest.mark.parametrize(
+        "spec, f",
+        [(FamilySpec("m2", s=10), 3), (FamilySpec("m5_0b", s=20), 12),
+         (FamilySpec("m4_2k", s=10, k=2), 8), (FamilySpec("med", s=24, m=6), 10)],
+    )
+    def test_pf_label_rejects_untabulated_values(self, spec, f):
+        with pytest.raises(NotPseudoFrobenius, match=f"^{f} is not a pseudo-Frobenius number"):
+            pf_label(spec, f)
 
     def test_med_rows_are_valid_factorizations(self):
         spec = FamilySpec("med", s=35, m=7)

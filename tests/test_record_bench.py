@@ -45,3 +45,44 @@ def test_correct_runs_are_recorded(record_bench, monkeypatch, tmp_path):
     monkeypatch.setattr(record_bench, "ROOT", tmp_path)
     assert record_bench.main(["--label", "x", "--parent", str(ROOT), "--change", str(ROOT)]) == 0
     assert (tmp_path / "BENCH_x.json").is_file()
+
+
+
+def _checkouts(tmp_path, monkeypatch, record_bench):
+    """Two checkouts holding the same small benchmark, and the argv that pairs them."""
+    sides = []
+    for name in ("parent", "change"):
+        root = tmp_path / name
+        (root / "perfbench" / "__pycache__").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text('{"run_seconds": 1}\n')
+        (root / "perfbench" / "run.py").write_text("print()\n")
+        sides.append(root)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(record_bench, "ROOT", out)
+    return sides[1], out, ["--label", "x", "--parent", str(sides[0]), "--change", str(sides[1])]
+
+
+@pytest.mark.parametrize(
+    "path, content",
+    [("perfbench/run.py", "print(1)\n"), ("perfbench/extra.cfg", ""),
+     ("BENCHMARK.json", '{"run_seconds": 2}\n')],
+)
+def test_different_benchmarks_stop_before_any_run(record_bench, monkeypatch, tmp_path, path, content):
+    change, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    (change / path).write_text(content)
+    runs = []
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: runs.append(args) or _outcome())
+    with pytest.raises(SystemExit) as stop:
+        record_bench.main(argv)
+    assert f"{path} differs" in str(stop.value.code)
+    assert runs == []
+    assert list(out.iterdir()) == []
+
+
+def test_bytecode_caches_are_not_compared(record_bench, monkeypatch, tmp_path):
+    change, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    (change / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"stale")
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
+    assert record_bench.main(argv) == 0
+    assert (out / "BENCH_x.json").is_file()

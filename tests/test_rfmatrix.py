@@ -91,7 +91,7 @@ class TestEnumeration:
         ids=["4", "0", "1", "-2", "N"],
     )
     def test_rejects_non_pf(self, gens, f, pf):
-        message = f"{f} is not pseudo-Frobenius; PF = {pf}"
+        message = f"{f} is not a pseudo-Frobenius number; PF = {list(pf)}"
         with pytest.raises(NotPseudoFrobenius, match=f"^{re.escape(message)}$"):
             rf_matrices(from_generators(gens), f)
 
