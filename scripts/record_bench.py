@@ -19,8 +19,16 @@ Usage (from the repository root):
 Runs take the order workload, then seed, and the side that goes first
 alternates from one pair to the next. A run that reads ``correct: false``
 or has failed operations stops the recording with a non-zero exit that
-names its workload, seed and side, and nothing is written. Uses the
-standard library only.
+names its workload, seed and side, and nothing is written.
+
+The ``verdicts`` block judges each workload and end-to-end metric of
+BENCHMARK.json, one stderr line each. The spread is the parent's
+interquartile range. A metric is "unresolved" when that spread exceeds the
+bound and not every change run beats every parent run, "worse" when the
+change's median is worse than the parent's by more than the bound, and
+"within bound" otherwise. ``gain`` holds when the change wins at least nine
+tenths of the equal-seed pairs (ties count for neither) and its median is
+better by more than the spread. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -118,6 +126,39 @@ def medians(runs: list[dict]) -> dict:
     return out
 
 
+def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """The verdict on each end-to-end metric per workload, by the rule in the module doc."""
+    out: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        out[workload] = {}
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1 if metric["better"] == "lower" else -1  # sign * value: lower is better
+            by_seed = {side: {r["seed"]: sign * r["metrics"][name]["value"] for r in runs
+                              if r["workload"] == workload and r["side"] == side
+                              and name in r["metrics"]}
+                       for side in ("parent", "change")}
+            parent, change = (sorted(by_seed[side].values()) for side in ("parent", "change"))
+            if len(parent) < 2 or not change:
+                continue
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+            worse_by = statistics.median(change) - statistics.median(parent)
+            seeds = by_seed["parent"].keys() & by_seed["change"].keys()
+            won = sum(by_seed["change"][s] < by_seed["parent"][s] for s in seeds)
+            if q3 - q1 > bound and not change[-1] < parent[0]:
+                verdict = "unresolved"
+            elif worse_by > bound:
+                verdict = "worse"
+            else:
+                verdict = "within bound"
+            out[workload][name] = {
+                "parent_iqr": q3 - q1, "median_diff": sign * worse_by, "bound": bound,
+                "better": metric["better"], "pairs_won": won, "pairs": len(seeds),
+                "verdict": verdict, "gain": won >= 0.9 * len(seeds) and -worse_by > q3 - q1,
+            }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
@@ -126,7 +167,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     require_same_benchmark(sides)
-    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     runs = []
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -144,7 +186,14 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "runs": runs,
         "medians": medians(runs),
+        "verdicts": verdicts(runs, benchmark.get("end_to_end", [])),
     }
+    for workload, judged in record["verdicts"].items():
+        for name, v in judged.items():
+            print(f"{workload} {name}: {v['verdict']}; change - parent median "
+                  f"{v['median_diff']:+.4g}, parent IQR {v['parent_iqr']:.4g}, bound {v['bound']}, "
+                  f"won {v['pairs_won']}/{v['pairs']} pairs{', gain' if v['gain'] else ''}",
+                  file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(path)

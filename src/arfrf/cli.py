@@ -22,6 +22,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import sys
@@ -324,20 +325,16 @@ def cmd_verify(args, argv) -> int:
                 settings.update(verifier.parse_config_text(Path(args.config).read_text()))
             except (OSError, ValueError) as exc:
                 raise ValueError(f"cannot read config: {exc}") from exc
-        claim_ids = settings.pop("claims", None)
-        if claim_ids == ["default"]:
-            claim_ids = None
-        if args.claim:
-            claim_ids = args.claim
-        for key, value in (
-            ("s_max", args.s_max),
-            ("med_m_max", args.m_max),
-            ("seed", args.seed),
-            ("closure_samples", args.samples),
-        ):
-            if value is not None:
-                settings[key] = value
+        claim_ids = settings.pop("claims", None)  # VerifyConfig takes no claims
+        settings.update((key, value) for key, value in vars(args).items()
+                        if key in verifier._CONFIG_INT_KEYS and value is not None)
         config = verifier.VerifyConfig(**settings)
+        claim_ids, _ = verifier.check_request(config, args.claim or claim_ids)
+        targets = {cid: report_dir / f"{cid.replace('/', '_')}.json" for cid in claim_ids}
+        summary_path = report_dir / "summary.json"
+        for path in [*targets.values(), summary_path]:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         report_dir.mkdir(parents=True, exist_ok=True)
         reports = verifier.verify_all(config, claim_ids)
         ok = verifier.aggregate_ok(reports)
@@ -350,12 +347,11 @@ def cmd_verify(args, argv) -> int:
             "ok": ok,
         }
         for report in reports:
-            path = report_dir / f"{report.claim_id.replace('/', '_')}.json"
-            path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        (report_dir / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n"
-        )
-    except (OSError, UnknownClaim, GridTooLarge, TypeError, ValueError) as exc:
+            targets[report.claim_id].write_text(
+                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+            )
+        summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    except (OSError, UnknownClaim, GridTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     lines = [f"{r.claim_id:20s} {r.status:24s} checked={r.checked}" for r in reports]
@@ -432,9 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", action="append", default=None, help="run one claim id")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--s-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None, help="largest med-family multiplicity")
+    p.add_argument("--m-max", type=int, default=None, dest="med_m_max", metavar="M_MAX",
+                   help="largest med-family multiplicity")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="closure sample count")
+    p.add_argument("--samples", type=int, default=None, dest="closure_samples",
+                   metavar="SAMPLES", help="closure sample count")
     p.add_argument("--report-dir", default="reports")
     p.set_defaults(func=cmd_verify)
     return parser

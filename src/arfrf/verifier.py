@@ -5,10 +5,11 @@ programming, definitional scans, cofactor expansion) so they share no code
 with the primary implementations they check.
 
 Claims are rows of the ``CLAIMS`` table, under stable ids. A row names a
-grid (the bounds echoed in the report), its sources and a check. A source
-is a slice of the one instance walk, ``_instances``: a multiplicity<=5
+grid (the bounds echoed in the report) and a check. The grid is the one
+statement of a claim's scope: ``_sources`` reads off it the slices of the one
+instance walk, ``_instances``, that the claim sweeps (a multiplicity<=5
 variant, the med shapes, the seeded Arf-closure samples or the seeded random
-generator sets, in that order. A check takes one instance and returns
+generator sets, in that order). A check takes one instance and returns
 ``(units checked, problems)``.
 
 ``verify_all`` is the one engine; ``verify_claim`` runs it on one claim. It
@@ -179,7 +180,7 @@ def parse_config_text(text: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment. Returns raw settings.
 
     Recognized keys: the VerifyConfig integers, ``fixtures`` (path), and
-    ``claims`` (comma-separated claim ids or "default").
+    ``claims`` (comma-separated claim ids, or "default", stored as None).
     """
     settings: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -197,9 +198,10 @@ def parse_config_text(text: str) -> dict:
         elif key == "fixtures":
             settings["fixtures_path"] = value
         elif key == "claims":
-            settings["claims"] = [c.strip() for c in value.split(",") if c.strip()]
-            if not settings["claims"]:
+            ids = [c.strip() for c in value.split(",") if c.strip()]
+            if not ids:
                 raise ValueError(f"line {lineno}: claims names no claim id, got {value!r}")
+            settings["claims"] = None if ids == ["default"] else ids
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     return settings
@@ -326,10 +328,6 @@ def _instances(config: VerifyConfig, sources):
             yield "random", from_generators(gens), (gens, probes), {"gens": list(gens)}
 
 
-def _variants(*multiplicities) -> tuple[str, ...]:
-    return tuple(v for v in families.M_LE_5_VARIANTS if families.VARIANTS[v].m in multiplicities)
-
-
 def _med_grid(config: VerifyConfig) -> dict:
     return {"med_m": [config.med_m_min, config.med_m_max], "med_s": f"m..{config.med_s_factor}m"}
 
@@ -341,6 +339,16 @@ def _scope_grid(config: VerifyConfig, multiplicities=(2, 3, 4, 5), med=False) ->
 
 def _closure_grid(config: VerifyConfig) -> dict:
     return {**_med_grid(config), "closure_samples": config.closure_samples}
+
+
+def _sources(grid: dict) -> list[str]:
+    """The sources of ``_instances`` that a claim with this grid sweeps: ``s_max`` names
+    the multiplicity<=5 variants, narrowed by ``variants`` or ``multiplicities``."""
+    variants = grid.get("variants", families.M_LE_5_VARIANTS) if "s_max" in grid else ()
+    multiplicities = grid.get("multiplicities", (2, 3, 4, 5))
+    named = {"med_m": "med", "closure_samples": "closure", "samples": "random"}
+    return ([v for v in variants if families.VARIANTS[v].m in multiplicities]
+            + [source for key, source in named.items() if key in grid])
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +471,11 @@ def _check_generic(sg, spec):
 
 
 def _recheck_nongeneric_witness(sg, verdict) -> str | None:
-    """Re-derive a non-generic witness from scratch; None when it checks out."""
+    """Re-derive a non-generic witness from scratch; None when it checks out.
+
+    Equal entries in column j of rows i and i' are the witness, because the
+    relation of those rows then loses x_j from its support.
+    """
     if verdict.generic:
         return "reported generic"
     if verdict.nonunique is not None:
@@ -478,10 +490,6 @@ def _recheck_nongeneric_witness(sg, verdict) -> str | None:
         return "witness matrix fails RF validity"
     if matrix[i][j] != matrix[i2][j]:
         return "witness column entries differ"
-    # the corresponding relation loses column j from its support
-    diff = [a - b for a, b in zip(matrix[i], matrix[i2])]
-    if diff[j] != 0:
-        return "difference vector unexpectedly touches the clash column"
     return None
 
 
@@ -521,22 +529,16 @@ def _check_oracles(sg, spec):
 
 @dataclass(frozen=True, slots=True)
 class Claim:
-    """One row of the claim table: the sources it reads and what it checks.
-
-    A source is a tag of ``M_LE_5_VARIANTS``, "med", "closure" or "random".
-    ``by_semigroup`` locates a med instance as a closure sample is located.
-    """
+    """One row of the claim table: its grid, which names what it sweeps, and its check."""
 
     description: str
     grid: Callable[[VerifyConfig], dict]
-    sources: tuple[str, ...]
     check: Callable[[NumericalSemigroup, object], tuple[int, list[dict]]]
-    by_semigroup: bool = False
 
 
 def _closed_form_claim(description: str, variants) -> Claim:
     return Claim(description, lambda c: {"variants": list(variants), "s_max": c.s_max},
-                 tuple(variants), _check_closed_form)
+                 _check_closed_form)
 
 
 CLAIMS: dict[str, Claim] = {
@@ -554,63 +556,55 @@ CLAIMS: dict[str, Claim] = {
     "Cor3.13": Claim(
         "every multiplicity<=5 family instance has an RF matrix of the Frobenius "
         "number with |det| equal to the Frobenius number",
-        _scope_grid, families.M_LE_5_VARIANTS, _check_det_witness),
+        _scope_grid, _check_det_witness),
     "Lemma4.1": Claim(
         "generators m, s+1, ..., s+m-1 with m | s give an Arf semigroup with the "
         "expected invariants",
-        _med_grid, ("med",), _check_med_invariants),
+        _med_grid, _check_med_invariants),
     "Prop4.2": Claim(
         "the formula matrix of each PF element of a med-family instance appears "
         "among the enumerated RF matrices",
-        _med_grid, ("med",), _check_formula_rows),
+        _med_grid, _check_formula_rows),
     "Cor4.3": Claim(
         "for med-family instances the k=1 formula matrix of the Frobenius number "
         "has determinant exactly (-1)^(m-1) (s-1)",
-        _med_grid, ("med",), _check_cor_det),
+        _med_grid, _check_cor_det),
     "Remark4.4": Claim(
         "Arf semigroups with multiplicity above 5: at least three generators reach "
         "the conductor, w(m-1) = s - sbar + m - 1, and w(1) is s+1 or s - sbar + m + 1",
-        _closure_grid, ("med", "closure"), _check_apery_shape, by_semigroup=True),
+        _closure_grid, _check_apery_shape),
     "Lemma4.5": Claim(
         "for Arf semigroups with multiplicity above 5, every RF matrix of the "
         "Frobenius number has a column with two zero entries",
-        _closure_grid, ("med", "closure"), _check_zero_pairs, by_semigroup=True),
+        _closure_grid, _check_zero_pairs),
     "Thm5.2-equiv": Claim(
         "over every swept Arf instance: some RF matrix of F(S) has |det| = F(S) iff "
         "some RF matrix has [V(S):W(S)] = 1; index and determinant stay consistent "
         "matrix by matrix",
-        lambda c: {**_med_grid(c), "s_max": c.s_max},
-        (*families.M_LE_5_VARIANTS, "med"),
-        _check_index_vs_det),
+        lambda c: {**_med_grid(c), "s_max": c.s_max}, _check_index_vs_det),
     "Conj5.3": Claim(
         "an RF matrix of F(S) with determinant exactly (-1)^(e+1) F(S) exists",
-        lambda c: _scope_grid(c, med=True),
-        (*families.M_LE_5_VARIANTS, "med"),
-        _check_sign_witness),
+        lambda c: _scope_grid(c, med=True), _check_sign_witness),
     "Thm5.4.1": Claim(
         "sign-exact determinant witness over the multiplicity<=5 families",
-        _scope_grid, families.M_LE_5_VARIANTS, _check_sign_witness),
+        _scope_grid, _check_sign_witness),
     "Thm5.4.2": Claim(
         "sign-exact determinant witness over the med families",
-        _med_grid, ("med",), _check_sign_witness),
+        _med_grid, _check_sign_witness),
     "Thm5.6": Claim(
         "Arf semigroups with multiplicity 2 or 3 are generic",
-        lambda c: _scope_grid(c, (2, 3)),
-        _variants(2, 3),
-        _check_generic),
+        lambda c: _scope_grid(c, (2, 3)), _check_generic),
     "Thm5.7": Claim(
         "Arf semigroups with multiplicity above 3 are not generic, with "
         "re-checkable witnesses",
-        lambda c: _scope_grid(c, (4, 5), med=True),
-        (*_variants(4, 5), "med"),
-        _check_not_generic),
+        lambda c: _scope_grid(c, (4, 5), med=True), _check_not_generic),
     "OracleAgreement": Claim(
         "membership, pseudo-Frobenius, factorization-count and determinant oracles "
         "agree with the primary implementations on seeded random generator sets",
         lambda c: {"samples": c.oracle_samples, "max_generator": MAX_GENERATOR,
                    "max_embedding_dimension": MAX_EMBEDDING_DIMENSION,
                    "value_cap": VALUE_CAP, "seed": c.seed},
-        ("random",), _check_oracles),
+        _check_oracles),
 }
 
 # every claim in table order, with Props3.1-3.12 standing for its twelve single-claim splits
@@ -658,39 +652,45 @@ def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> ClaimRepo
     return verify_all(config, [claim_id])[0]
 
 
-def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:
-    """Run a claim list (default suite when None) in one walk; an empty list runs nothing.
-
-    Every claim id and the fixtures are checked before the first instance is
-    built; the config checked its own bounds when it was built. On each
-    instance each distinct check runs once, for every claim that reads the
-    instance's source, so a claim's report equals that of the claim alone.
-    """
-    config = config or VerifyConfig()
-    if claim_ids is None:
-        claim_ids = DEFAULT_SUITE
+def check_request(config: VerifyConfig, claim_ids=None) -> tuple[tuple[str, ...], list[dict]]:
+    """The claim ids to run (the default suite when None), each registered, and the
+    fixtures ``config`` names; raises before any instance is built."""
+    claim_ids = DEFAULT_SUITE if claim_ids is None else tuple(claim_ids)
     for cid in claim_ids:
         if cid not in CLAIMS:
             raise UnknownClaim(f"unknown claim id {cid!r}; known: {sorted(CLAIMS)}")
-    fixtures = load_fixtures(config.fixtures_path)
+    return claim_ids, load_fixtures(config.fixtures_path)
+
+
+def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:
+    """Run a claim list (default suite when None) in one walk; an empty list runs nothing.
+
+    ``check_request`` checks every claim id and the fixtures before the first
+    instance is built; the config checked its own bounds when it was built.
+    On each instance each distinct check runs once, for every claim whose
+    grid names the instance's source, so a claim's report equals that of the
+    claim alone.
+    """
+    config = config or VerifyConfig()
+    claim_ids, fixtures = check_request(config, claim_ids)
     claims = [CLAIMS[cid] for cid in claim_ids]
     reports = [ClaimReport(claim_id=cid, description=claim.description, grid=claim.grid(config))
                for cid, claim in zip(claim_ids, claims)]
     loci: list[dict] = [{} for _ in claims]
     readers: dict[str, list[int]] = {}
-    for i, claim in enumerate(claims):
-        for source in claim.sources:
+    for i, report in enumerate(reports):
+        for source in _sources(report.grid):
             readers.setdefault(source, []).append(i)
     for source, sg, spec, where in _instances(config, readers):
         results: dict = {}
         for i in readers[source]:
-            claim = claims[i]
-            if claim.check not in results:
-                results[claim.check] = claim.check(sg, spec)
-            located = where
-            if claim.by_semigroup and source == "med":
+            check = claims[i].check
+            if check not in results:
+                results[check] = check(sg, spec)
+            located = where  # a claim that sweeps closure samples locates med ones alike
+            if source == "med" and "closure_samples" in reports[i].grid:
                 located = {"semigroup": list(sg.generators), "origin": where["spec"]}
-            _fold(reports[i], loci[i], located, spec, *results[claim.check])
+            _fold(reports[i], loci[i], located, spec, *results[check])
     for report, found in zip(reports, loci):
         _finish(report, found, fixtures)
     return reports

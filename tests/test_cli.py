@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from arfrf import rfmatrix
-from arfrf.cli import main, render_binomial, render_monomial
+from arfrf import families, rfmatrix, verifier
+from arfrf.cli import build_parser, main, render_binomial, render_monomial
 from arfrf.rfmatrix import rf_row_choices
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -388,6 +388,51 @@ class TestVerifyCommand:
         assert code == 4
         assert err.startswith("error: ") and blocked in err and err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("case", ["unknown claim", "missing fixtures", "blocked summary"])
+    def test_refused_run_writes_nothing_and_builds_nothing(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        def no_build(spec):
+            raise AssertionError("built an instance before the run was checked")
+
+        monkeypatch.setattr(families, "build_family", no_build)
+        monkeypatch.chdir(tmp_path)
+        args = {
+            "unknown claim": ["--claim", "Nope"],
+            "missing fixtures": ["--claim", "Cor4.3", "--config", "sweep.cfg"],
+            "blocked summary": ["--claim", "Cor4.3", "--m-max", "6", "--report-dir", "D"],
+        }[case]
+        (tmp_path / "sweep.cfg").write_text(f"fixtures = {tmp_path / 'missing.json'}\n")
+        (tmp_path / "D" / "summary.json").mkdir(parents=True)
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "summary.json", "sweep.cfg"]
+
+    def test_claims_default_runs_the_default_suite(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        # empty grids keep it fast: every claim checks nothing, so the run fails
+        cfg.write_text("claims = default\ns_max = 1\nmed_m_max = 5\n"
+                       "closure_samples = 0\noracle_samples = 0\n")
+        code, doc, _ = run_json(
+            capsys, "verify", "--config", str(cfg), "--report-dir", str(tmp_path / "r")
+        )
+        assert code == 1
+        ids = [c["claim_id"] for c in doc["payload"]["summary"]["claims"]]
+        assert ids == list(verifier.DEFAULT_SUITE)
+
+    def test_each_value_option_is_named_by_its_config_key(self):
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        dests = [a.dest for a in subcommands["verify"]._actions if a.type is int]
+        assert dests and set(dests) <= verifier._CONFIG_INT_KEYS
+
+    def test_stray_config_key_is_a_program_error(self, tmp_path, monkeypatch):
+        # a key that reaches VerifyConfig unparsed is a bug, not a bad config: no exit 4
+        monkeypatch.setitem(verifier.SUITES, "stray", {"claims_typo": 1})
+        with pytest.raises(TypeError):
+            main(["verify", "--suite", "stray", "--report-dir", str(tmp_path)])
 
     def test_reports_byte_identical(self, capsys, tmp_path):
         for sub in ("a", "b"):

@@ -1,6 +1,7 @@
-"""scripts/record_bench.py refuses to record medians from incorrect runs."""
+"""scripts/record_bench.py: it records only correct runs of one benchmark, with verdicts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,61 @@ def test_bytecode_caches_are_not_compared(record_bench, monkeypatch, tmp_path):
     monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
     assert record_bench.main(argv) == 0
     assert (out / "BENCH_x.json").is_file()
+
+
+def _runs(parent, change):
+    """Runs of one workload, seeds 1.. in order, reading ``norm_wall_s``."""
+    return [{"workload": "w", "seed": seed, "side": side, "metrics": {"norm_wall_s": {"value": v}}}
+            for side, values in (("parent", parent), ("change", change))
+            for seed, v in enumerate(values, start=1)]
+
+
+WIDE = [1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5, 1.5]  # interquartile range 0.5
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, verdict, won, gain",
+    [
+        ("lower", [1.0] * 10, [1.1] * 10, "within bound", 0, False),
+        ("lower", [1.0] * 10, [1.3] * 10, "worse", 0, False),
+        ("lower", WIDE, [1.2] * 10, "unresolved", 5, False),
+        ("lower", WIDE, [2.0] * 10, "unresolved", 0, False),
+        # every change run beats every parent run: resolved despite the spread,
+        # but the medians differ by less than that spread, so no gain
+        ("lower", WIDE, [0.9] * 10, "within bound", 10, False),
+        ("lower", [1.0 + i / 100 for i in range(10)], [0.5] * 9 + [2.0], "within bound", 9, True),
+        ("lower", [1.0 + i / 100 for i in range(10)], [0.5] * 8 + [2.0] * 2, "within bound", 8,
+         False),
+        # ties count for neither side
+        ("lower", [1.0] * 10, [1.0] * 5 + [0.5] * 5, "within bound", 5, False),
+        ("higher", [1.0] * 10, [0.7] * 10, "worse", 0, False),
+        ("higher", [1.0] * 10, [1.5] * 10, "within bound", 10, True),
+    ],
+)
+def test_verdicts(record_bench, better, parent, change, verdict, won, gain):
+    metric = {"name": "norm_wall_s", "unit": "s", "better": better, "bound": 0.25}
+    [[judged]] = [w.values() for w in record_bench.verdicts(_runs(parent, change), [metric]).values()]
+    assert (judged["verdict"], judged["pairs_won"], judged["pairs"], judged["gain"]) == (
+        verdict, won, 10, gain)
+    assert (judged["bound"], judged["better"]) == (0.25, better)
+    assert judged["median_diff"] == pytest.approx(
+        record_bench.statistics.median(change) - record_bench.statistics.median(parent))
+
+
+def test_wide_parent_spread_reads_its_interquartile_range(record_bench):
+    metric = {"name": "norm_wall_s", "better": "lower", "bound": 0.25}
+    judged = record_bench.verdicts(_runs(WIDE, [1.2] * 10), [metric])["w"]["norm_wall_s"]
+    assert judged["parent_iqr"] == pytest.approx(0.5)
+
+
+def test_recording_prints_one_verdict_line_per_metric(record_bench, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    record_bench.main(["--label", "x", "--parent", str(ROOT), "--change", str(ROOT)])
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    # the fake runs read norm_wall_s only, so each workload gets that one verdict
+    assert {w: list(v) for w, v in record["verdicts"].items()} == {
+        w: ["norm_wall_s"] for w in record_bench.WORKLOADS}
+    lines = [line for line in capsys.readouterr().err.splitlines() if ": within bound;" in line]
+    assert [line.split(":")[0] for line in lines] == [
+        f"{w} norm_wall_s" for w in record_bench.WORKLOADS]

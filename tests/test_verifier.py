@@ -27,6 +27,40 @@ from arfrf.verifier import (
 
 QUICK = VerifyConfig(s_max=36, med_m_max=7, closure_samples=8, oracle_samples=30)
 
+ALL_VARIANTS = ("m2", "m3_0", "m3_2", "m4_0k", "m4_0full", "m4_2k", "m4_3",
+                "m5_0a", "m5_0b", "m5_2", "m5_3", "m5_4a", "m5_4b")
+M45_VARIANTS = ALL_VARIANTS[3:]
+
+# claim id: (the sources its walk reads, whether it locates med instances by semigroup)
+CLAIM_SCOPES = {
+    "Prop3.1": ({"m2"}, False),
+    "Prop3.2": ({"m3_0"}, False),
+    "Prop3.3": ({"m3_2"}, False),
+    "Prop3.4": ({"m4_0k"}, False),
+    "Prop3.5": ({"m4_0full"}, False),
+    "Prop3.6": ({"m4_2k", "m4_3"}, False),
+    "Prop3.7": ({"m5_0b"}, False),
+    "Prop3.8": ({"m5_0a"}, False),
+    "Prop3.9": ({"m5_2"}, False),
+    "Prop3.10": ({"m5_3"}, False),
+    "Prop3.11": ({"m5_4a"}, False),
+    "Prop3.12": ({"m5_4b"}, False),
+    "Props3.1-3.12": (set(ALL_VARIANTS), False),
+    "Cor3.13": (set(ALL_VARIANTS), False),
+    "Lemma4.1": ({"med"}, False),
+    "Prop4.2": ({"med"}, False),
+    "Cor4.3": ({"med"}, False),
+    "Remark4.4": ({"med", "closure"}, True),
+    "Lemma4.5": ({"med", "closure"}, True),
+    "Thm5.2-equiv": ({*ALL_VARIANTS, "med"}, False),
+    "Conj5.3": ({*ALL_VARIANTS, "med"}, False),
+    "Thm5.4.1": (set(ALL_VARIANTS), False),
+    "Thm5.4.2": ({"med"}, False),
+    "Thm5.6": ({"m2", "m3_0", "m3_2"}, False),
+    "Thm5.7": ({*M45_VARIANTS, "med"}, False),
+    "OracleAgreement": ({"random"}, False),
+}
+
 
 class TestOracles:
     def test_membership(self):
@@ -130,6 +164,33 @@ class TestClaims:
         ]
         [gens] = random_semigroups(1, tiny.seed)
         assert oracle == [{"gens": list(gens), "problem": "forced"}]
+
+    def test_table_lists_every_claim(self):
+        assert set(CLAIM_SCOPES) == set(CLAIMS)
+
+    @pytest.mark.parametrize("cid", sorted(CLAIM_SCOPES))
+    def test_claim_sweeps_its_scope(self, monkeypatch, cid):
+        sources, by_semigroup = CLAIM_SCOPES[cid]
+        walked, located = [], []
+        walk, fold = verifier._instances, verifier._fold
+
+        def recorded_walk(config, readers):
+            walked.append(set(readers))
+            return walk(config, readers)
+
+        def recorded_fold(report, loci, where, *result):
+            located.append(sorted(where))
+            fold(report, loci, where, *result)
+
+        monkeypatch.setattr(verifier, "_instances", recorded_walk)
+        monkeypatch.setattr(verifier, "_fold", recorded_fold)
+        # no multiplicity<=5 instance, one med instance, no samples
+        tiny = VerifyConfig(s_max=1, med_m_max=6, med_s_factor=1, closure_samples=0,
+                            oracle_samples=0)
+        verify_claim(cid, tiny)
+        assert walked == [sources]
+        med_where = ["origin", "semigroup"] if by_semigroup else ["spec"]
+        assert located == ([med_where] if "med" in sources else [])
 
     def test_rf_tables_built_once_per_instance(self, monkeypatch):
         calls = []
