@@ -19,6 +19,7 @@ from .lattice import (
     degree,
     is_generic,
     kernel_lattice,
+    lattice_coordinates,
     lattice_index,
     rf_difference_lattice,
     rf_relations,
@@ -65,6 +66,7 @@ __all__ = [
     "is_generic",
     "is_rf_matrix",
     "kernel_lattice",
+    "lattice_coordinates",
     "lattice_index",
     "rf_difference_lattice",
     "rf_matrices",

@@ -40,6 +40,7 @@ from .lattice import (
     binomial_from_vector,
     is_generic,
     kernel_lattice,
+    lattice_coordinates,
     lattice_index,
     rf_difference_lattice,
     row_differences,
@@ -244,7 +245,7 @@ def cmd_relations(args, argv) -> int:
     V = kernel_lattice(sg)
     W = rf_difference_lattice(witness)
     diffs = row_differences(witness)
-    index = lattice_index(W, V)
+    index = lattice_index(lattice_coordinates(W, V), len(V))
     pairs = list(itertools.combinations(range(sg.embedding_dimension), 2))
     payload = {
         "generators": list(sg.generators),

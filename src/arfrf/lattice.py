@@ -4,9 +4,12 @@ and the genericity test for the defining toric ideal.
 A lattice is its canonical Hermite basis, the tuple of row tuples that
 ``hermite_normal_form`` returns, so two lattices are equal iff their bases
 are. V(S) is read off one Hermite form, that of the rows (n_i, e_i), which
-span {(degree(x), x)}. [V(S) : W(S)] is read from coordinates in V(S)'s
-Hermite basis; W(S)'s own basis and the pairwise row differences are built
-only where ``arfrf relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
+span {(degree(x), x)}. [V(S) : W(S)] is |det| of coordinates in V(S)'s
+Hermite basis: ``lattice_coordinates`` reduces vectors against that basis,
+and ``lattice_index`` takes the determinant, so a caller can reduce each
+vector once and reuse its coordinates across many index computations. W(S)'s
+own basis and the pairwise row differences are built only where ``arfrf
+relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
 relations read only its rows, so they take no semigroup.
 """
 
@@ -69,17 +72,13 @@ def rf_difference_lattice(matrix: Matrix) -> Basis:
     return hermite_normal_form(first_row_differences(matrix), len(matrix))
 
 
-def lattice_index(vectors: Sequence[Sequence[int]], ambient: Basis) -> int | None:
-    """[ambient : L] for L spanned by ``vectors``, or None when L has lower rank.
+def lattice_coordinates(vectors: Sequence[Sequence[int]], ambient: Basis) -> list[tuple[int, ...]]:
+    """Coordinates of each vector in the Hermite basis ``ambient``, in order.
 
-    ``ambient`` is a Hermite basis; each vector is reduced against it:
-    NotSublattice if it lies outside ambient (for an RF row difference:
-    nonzero degree), DimensionMismatch if its length is wrong. With
-    ``len(ambient)`` vectors the index is |det| of their coordinates (det 0
-    is a rank drop); fewer give None, and more are not square, so
-    ``bareiss_determinant`` raises ValueError. Pass a basis, such as the
-    first-row differences of an RF matrix. A rank-0 ambient has no length to
-    check against, so there any nonzero vector is NotSublattice.
+    NotSublattice if a vector lies outside ambient (for an RF row difference:
+    nonzero degree), DimensionMismatch if its length is wrong. A rank-0
+    ambient has no length to check against, so there any nonzero vector is
+    NotSublattice.
     """
     coords = []
     for v in vectors:
@@ -89,7 +88,20 @@ def lattice_index(vectors: Sequence[Sequence[int]], ambient: Basis) -> int | Non
         if c is None:
             raise NotSublattice(f"vector {tuple(v)} lies outside the ambient lattice")
         coords.append(c)
-    if len(coords) < len(ambient):
+    return coords
+
+
+def lattice_index(coords: Sequence[Sequence[int]], rank: int) -> int | None:
+    """[ambient : L] for L spanned by vectors with coordinates ``coords`` in a
+    rank-``rank`` ambient lattice, or None when L has lower rank.
+
+    With ``rank`` coordinate rows the index is |det| of them (det 0 is a rank
+    drop); fewer give None, and more are not square, so
+    ``bareiss_determinant`` raises ValueError. Pass the coordinates of a
+    basis, such as ``lattice_coordinates(W, V)`` or those of the first-row
+    differences of an RF matrix, with ``rank = len(V)``.
+    """
+    if len(coords) < rank:
         return None
     return abs(bareiss_determinant(coords)) or None
 

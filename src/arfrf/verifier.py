@@ -30,7 +30,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from importlib import resources
-from itertools import islice
+from itertools import islice, product
 from math import gcd
 from pathlib import Path
 from typing import Callable
@@ -38,7 +38,7 @@ from typing import Callable
 from . import families
 from .errors import GridTooLarge, UnknownClaim
 from .factorization import count_factorizations, factorization_vectors
-from .lattice import first_row_differences, is_generic, kernel_lattice, lattice_index
+from .lattice import is_generic, kernel_lattice, lattice_coordinates, lattice_index
 from .rfmatrix import (
     check_sign_conjecture,
     column_zero_pair,
@@ -442,11 +442,19 @@ def _check_zero_pairs(sg, spec):
 def _check_index_vs_det(sg, spec):
     V = kernel_lattice(sg)
     f = sg.frobenius
+    choices = rf_row_choices(sg, f)
+    # Every row has degree f, so r - b lies in V for one base row b, and the
+    # coordinates of a_1 - a_j are c(a_1) - c(a_j): one reduction per row choice.
+    base = choices[0][0]
+    rows = [r for row in choices for r in row]
+    coords = dict(zip(rows, lattice_coordinates([[a - b for a, b in zip(r, base)] for r in rows], V)))
     problems = []
     has_det_witness = has_index_one = False
-    for matrix in iter_rf_matrices(sg, f):
+    for matrix in product(*choices):
         det = determinant(matrix)
-        idx = lattice_index(first_row_differences(matrix), V)
+        first, *rest = map(coords.__getitem__, matrix)
+        # list rows, not tuples: freed small tuples linger on CPython's free lists
+        idx = lattice_index([[x - y for x, y in zip(first, c)] for c in rest], len(V))
         has_det_witness |= abs(det) == f
         has_index_one |= idx == 1
         expected = None if det == 0 else abs(det) // f if abs(det) % f == 0 else -1

@@ -1,11 +1,14 @@
 from itertools import combinations
 from math import gcd
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arfrf.lattice
+from arfrf import verifier
 from arfrf.errors import DimensionMismatch, NotSublattice
 from arfrf.intmat import bareiss_determinant, hermite_normal_form, hnf_coordinates
 from arfrf.lattice import (
@@ -14,16 +17,27 @@ from arfrf.lattice import (
     is_generic,
     first_row_differences,
     kernel_lattice,
+    lattice_coordinates,
     lattice_index,
     rf_difference_lattice,
     rf_relations,
     row_differences,
 )
-from arfrf.rfmatrix import find_frobenius_det_witness, is_rf_matrix, iter_rf_matrices, rf_matrices
+from arfrf.rfmatrix import (
+    determinant,
+    find_frobenius_det_witness,
+    is_rf_matrix,
+    iter_rf_matrices,
+    rf_matrices,
+    rf_matrix_count,
+    rf_row_choices,
+)
 from arfrf.semigroup import from_generators
-from arfrf.verifier import cofactor_determinant
+from arfrf.verifier import VerifyConfig, cofactor_determinant, parse_config_text
 
 from test_semigroup import gen_sets
+
+QUICK_CFG = Path(__file__).resolve().parent / "data" / "golden_quick.cfg"
 
 PAPER_DIFFS = {
     (1, 2): (-3, 1, -1, 1),
@@ -102,7 +116,7 @@ class TestDifferenceLattice:
         W = rf_difference_lattice(m)
         V = kernel_lattice(sg)
         assert W == V
-        assert lattice_index(W, V) == 1
+        assert _index(W, V) == 1
 
     def test_reduced_basis_spans_all_pairs(self):
         sg = from_generators([5, 19, 21, 22, 23])
@@ -124,44 +138,63 @@ class TestDifferenceLattice:
                     assert W == full
 
 
+def _index(vectors, V):
+    """The per-matrix path: coordinates of every vector, then |det| of them."""
+    return lattice_index(lattice_coordinates(vectors, V), len(V))
+
+
 class TestLatticeIndex:
     def test_identity(self):
         V = kernel_lattice(from_generators([2, 5]))
-        assert lattice_index(V, V) == 1
+        assert lattice_coordinates(V, V) == [(1,)]
+        assert lattice_index([(1,)], 1) == 1
 
     def test_worked_example(self):
         sg = from_generators([4, 10, 21, 23])
         V = kernel_lattice(sg)
         W = rf_difference_lattice(find_frobenius_det_witness(sg))
-        assert lattice_index(W, V) == 1
+        assert _index(W, V) == 1
 
     def test_doubled_rank_one_basis(self):
         V = kernel_lattice(from_generators([2, 5]))
         doubled = hermite_normal_form([(10, -4)], 2)
-        assert lattice_index(doubled, V) == 2
+        assert lattice_coordinates(doubled, V) == [(2,)]
+        assert lattice_index([(2,)], 1) == 2
         # a generating set with more vectors than the rank is not square
+        assert lattice_coordinates([(10, -4), (5, -2)], V) == [(2,), (1,)]
         with pytest.raises(ValueError):
-            lattice_index([(10, -4), (5, -2)], V)
+            lattice_index([(2,), (1,)], 1)
 
     def test_not_sublattice(self):
         V = kernel_lattice(from_generators([2, 5]))
         alien = hermite_normal_form([(1, 0)], 2)
         with pytest.raises(NotSublattice):
-            lattice_index(alien, V)
+            lattice_coordinates(alien, V)
         with pytest.raises(NotSublattice):
-            lattice_index([(4, -2)], V)
+            lattice_coordinates([(5, -2), (4, -2)], V)
         with pytest.raises(DimensionMismatch):
-            lattice_index([(5, -2, 0)], V)
+            lattice_coordinates([(5, -2, 0)], V)
+
+    def test_rank_zero_ambient(self):
+        # N = <1> has V = 0: only the empty vector lies in it, and the index is 1
+        V = kernel_lattice(from_generators([1]))
+        assert V == ()
+        assert lattice_coordinates([()], V) == [()]
+        with pytest.raises(NotSublattice):
+            lattice_coordinates([(1,)], V)
+        assert lattice_index([], 0) == 1
 
     def test_infinite_index_on_rank_drop(self):
         sg = from_generators([4, 10, 21, 23])
         V = kernel_lattice(sg)
         sub = hermite_normal_form([V[0]], 4)
-        assert lattice_index(sub, V) is None
+        assert lattice_index(lattice_coordinates(sub, V), len(V)) is None
+        assert lattice_index([(1, 0, 0)], 3) is None
         # exactly rank(V) vectors, but linearly dependent
         a, b, _ = V
         dependent = [a, b, tuple(x - 2 * y for x, y in zip(a, b))]
-        assert lattice_index(dependent, V) is None
+        assert lattice_coordinates(dependent, V) == [(1, 0, 0), (0, 1, 0), (1, -2, 0)]
+        assert lattice_index([(1, 0, 0), (0, 1, 0), (1, -2, 0)], 3) is None
 
     def test_index_scales_determinant(self):
         # |det M| = F * [V : W] for every RF matrix of the Frobenius number
@@ -169,15 +202,12 @@ class TestLatticeIndex:
             sg = from_generators(gens)
             V = kernel_lattice(sg)
             for m in rf_matrices(sg, sg.frobenius):
-                from arfrf.rfmatrix import determinant
-
                 det = determinant(m)
-                idx = lattice_index(rf_difference_lattice(m), V)
+                idx = _index(rf_difference_lattice(m), V)
                 if det == 0:
                     assert idx is None
                 else:
                     assert abs(det) == sg.frobenius * idx
-
 
     def test_index_matches_maximal_minors(self):
         indices = []
@@ -196,6 +226,60 @@ class TestLatticeIndex:
             return
         for m in rf_matrices(sg, sg.frobenius)[:50]:
             _minor_checked_index(sg, m)
+
+
+def _recorded_check(sg):
+    """Run the Thm5.2 check on ``sg`` with its index and coordinate calls
+    recorded; returns (problems, index of each RF(F) matrix, coordinate calls)."""
+    indices, vectors = [], []
+
+    def recorded_index(coords, rank):
+        indices.append(lattice_index(coords, rank))
+        return indices[-1]
+
+    def counted_coordinates(basis, vector):
+        vectors.append(vector)
+        return hnf_coordinates(basis, vector)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "lattice_index", recorded_index)
+        mp.setattr(arfrf.lattice, "hnf_coordinates", counted_coordinates)
+        _, problems = verifier._check_index_vs_det(sg, None)
+    return problems, indices, len(vectors)
+
+
+class TestSweepIndex:
+    """The Thm5.2 sweep reduces each row choice once and builds every
+    matrix's index from those coordinates; the per-matrix path is its oracle."""
+
+    @pytest.mark.parametrize("gens, row_choices, matrices", [
+        ((4, 10, 21, 23), 8, 9),
+        ((5, 19, 21, 22, 23), 7, 4),
+    ])
+    def test_work_counts(self, gens, row_choices, matrices):
+        sg = from_generators(gens)
+        choices = rf_row_choices(sg, sg.frobenius)
+        assert sum(map(len, choices)) == row_choices
+        assert rf_matrix_count(sg, sg.frobenius) == matrices
+        problems, indices, coordinate_calls = _recorded_check(sg)
+        assert problems == []
+        assert coordinate_calls == row_choices  # none inside the matrix loop
+        assert len(indices) == matrices  # one traced lattice_index per RF matrix
+
+    def test_matches_per_matrix_path_on_quick_grid(self):
+        config = VerifyConfig(**parse_config_text(QUICK_CFG.read_text()))
+        sources = verifier._sources(verifier.CLAIMS["Thm5.2-equiv"].grid(config))
+        total = 0
+        for _, sg, _, _ in verifier._instances(config, sources):
+            problems, indices, _ = _recorded_check(sg)
+            assert problems == []
+            V = kernel_lattice(sg)
+            matrices = list(iter_rf_matrices(sg, sg.frobenius))
+            assert indices == [_index(first_row_differences(m), V) for m in matrices]
+            # the cofactor minors of the first-row differences agree as well
+            assert indices == [_minor_checked_index(sg, m) for m in matrices]
+            total += len(matrices)
+        assert total == 1516
 
 
 @st.composite
@@ -289,7 +373,7 @@ class TestHnfCoordinates:
 
 
 def _minor_checked_index(sg, matrix):
-    """Check lattice_index against the maximal-minor identity; return the index.
+    """Check the per-matrix index against the maximal-minor identity; return it.
 
     D = the (e-1) x e matrix of first-row differences. For every column k,
     |det(D without column k)| = [V:W] * n_k, since V is saturated with
@@ -297,7 +381,7 @@ def _minor_checked_index(sg, matrix):
     has lower rank. The minors come from cofactor expansion, not Bareiss.
     """
     diffs = [[a - b for a, b in zip(matrix[0], row)] for row in matrix[1:]]
-    idx = lattice_index(first_row_differences(matrix), kernel_lattice(sg))
+    idx = _index(first_row_differences(matrix), kernel_lattice(sg))
     for k, n in enumerate(sg.generators):
         minor = cofactor_determinant([[x for c, x in enumerate(r) if c != k] for r in diffs])
         assert abs(minor) == (0 if idx is None else idx * n)
