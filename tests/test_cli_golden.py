@@ -34,6 +34,11 @@ COMMANDS = [
     "rf 4 6 9 --witness --dets",
     "generic 4 5 6",
     "relations 2 5",
+    # no |det| = F witness: the relations fallback (det 0, index infinite)
+    "relations 9 25 31 33 39",
+    "rf 9 25 31 33 39 --witness",
+    "generic 3 7 8",
+    "rf 10 31 32 33 34 35 36 37 38 39 --count-only",
     # errors: exit 3, 3, 5, 3, 5, 2, 4, 4, 4
     "rf 2 5 --pf 4",
     "rf 1 --pf 0",
