@@ -17,6 +17,7 @@ from .families import FamilySpec, build_family, closed_form_pf, closed_form_rf
 from .lattice import (
     GenericityReport,
     degree,
+    first_row_differences,
     is_generic,
     kernel_lattice,
     lattice_coordinates,
@@ -62,6 +63,7 @@ __all__ = [
     "determinant",
     "factorization_vectors",
     "find_frobenius_det_witness",
+    "first_row_differences",
     "from_generators",
     "is_generic",
     "is_rf_matrix",

@@ -17,6 +17,7 @@ Exit codes:
      oversized grid, unreadable or malformed fixtures file, unusable report
      directory or report file)
   5  RF enumeration exceeds the --max-rf safety cap
+  141  stdout closed before the output was written (`arfrf ... | head`)
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import errno
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,12 +39,13 @@ from .errors import (
     UnknownClaim,
 )
 from .lattice import (
-    binomial_from_vector,
+    first_row_differences,
     is_generic,
     kernel_lattice,
     lattice_coordinates,
     lattice_index,
     rf_difference_lattice,
+    rf_relations,
     row_differences,
 )
 from .rfmatrix import (
@@ -243,9 +246,8 @@ def cmd_relations(args, argv) -> int:
         witness = next(iter_rf_matrices(sg, frob))
         note = "no |det| = F witness exists; using the first RF matrix instead"
     V = kernel_lattice(sg)
-    W = rf_difference_lattice(witness)
-    diffs = row_differences(witness)
-    index = lattice_index(lattice_coordinates(W, V), len(V))
+    W = rf_difference_lattice(witness)  # printed only
+    index = lattice_index(lattice_coordinates(first_row_differences(witness), V))
     pairs = list(itertools.combinations(range(sg.embedding_dimension), 2))
     payload = {
         "generators": list(sg.generators),
@@ -254,7 +256,7 @@ def cmd_relations(args, argv) -> int:
         "determinant": determinant(witness),
         "row_differences": [
             {"i": i + 1, "j": j + 1, "vector": list(d)}
-            for (i, j), d in zip(pairs, diffs)
+            for (i, j), d in zip(pairs, row_differences(witness))
         ],
         "relations": [
             {
@@ -265,7 +267,7 @@ def cmd_relations(args, argv) -> int:
                 "binomial": render_binomial((plus, minus)),
                 "full_support": all(p or m for p, m in zip(plus, minus)),
             }
-            for (i, j), (plus, minus) in zip(pairs, map(binomial_from_vector, diffs))
+            for (i, j), (plus, minus) in zip(pairs, rf_relations(witness))
         ],
         "kernel_basis": V,
         "difference_basis": W,
@@ -445,6 +447,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NotPseudoFrobenius as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

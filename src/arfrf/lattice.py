@@ -4,11 +4,11 @@ and the genericity test for the defining toric ideal.
 A lattice is its canonical Hermite basis, the tuple of row tuples that
 ``hermite_normal_form`` returns, so two lattices are equal iff their bases
 are. V(S) is read off one Hermite form, that of the rows (n_i, e_i), which
-span {(degree(x), x)}. [V(S) : W(S)] is |det| of coordinates in V(S)'s
-Hermite basis: ``lattice_coordinates`` reduces vectors against that basis,
-and ``lattice_index`` takes the determinant, so a caller can reduce each
-vector once and reuse its coordinates across many index computations. W(S)'s
-own basis and the pairwise row differences are built only where ``arfrf
+span {(degree(x), x)}. [V(S) : W(S)] has one recipe: ``lattice_coordinates``
+reduces an RF matrix's first-row differences a_1 - a_j, which span W(S) at any
+rank, against V(S)'s Hermite basis, and ``lattice_index`` is |det| of that
+square matrix; a caller can reduce each vector once and reuse it. W(S)'s own
+basis and the pairwise row differences are built only where ``arfrf
 relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
 relations read only its rows, so they take no semigroup.
 """
@@ -16,6 +16,7 @@ relations read only its rows, so they take no semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotSublattice
@@ -91,18 +92,13 @@ def lattice_coordinates(vectors: Sequence[Sequence[int]], ambient: Basis) -> lis
     return coords
 
 
-def lattice_index(coords: Sequence[Sequence[int]], rank: int) -> int | None:
-    """[ambient : L] for L spanned by vectors with coordinates ``coords`` in a
-    rank-``rank`` ambient lattice, or None when L has lower rank.
+def lattice_index(coords: Sequence[Sequence[int]]) -> int | None:
+    """[V : L] from the square matrix of coordinates, in V's Hermite basis, of
+    vectors spanning L: its |det|, or None when that is 0 (L has lower rank).
 
-    With ``rank`` coordinate rows the index is |det| of them (det 0 is a rank
-    drop); fewer give None, and more are not square, so
-    ``bareiss_determinant`` raises ValueError. Pass the coordinates of a
-    basis, such as ``lattice_coordinates(W, V)`` or those of the first-row
-    differences of an RF matrix, with ``rank = len(V)``.
+    A non-square input raises ValueError (from ``bareiss_determinant``). For
+    [V(S) : W(S)] pass ``lattice_coordinates(first_row_differences(m), V)``.
     """
-    if len(coords) < rank:
-        return None
     return abs(bareiss_determinant(coords)) or None
 
 
@@ -152,18 +148,12 @@ class GenericityReport:
 def is_generic(sg: NumericalSemigroup) -> GenericityReport:
     """Genericity of the defining toric ideal, decided from RF matrices."""
     for f in sg.pseudo_frobenius():
-        found: list[Matrix] = []
-        for matrix in iter_rf_matrices(sg, f):
-            found.append(matrix)
-            if len(found) == 2:
-                return GenericityReport(generic=False, nonunique=(f, found[0], found[1]))
-        matrix = found[0]
+        matrix, *more = islice(iter_rf_matrices(sg, f), 2)
+        if more:
+            return GenericityReport(generic=False, nonunique=(f, matrix, *more))
         e = len(matrix)
-        for j in range(e):
-            for i in range(e):
-                for i2 in range(i + 1, e):
-                    if matrix[i][j] == matrix[i2][j]:
-                        return GenericityReport(
-                            generic=False, column_clash=(f, matrix, i, i2, j)
-                        )
+        clash = next(((i, i2, j) for j in range(e) for i in range(e) for i2 in range(i + 1, e)
+                      if matrix[i][j] == matrix[i2][j]), None)
+        if clash is not None:
+            return GenericityReport(generic=False, column_clash=(f, matrix, *clash))
     return GenericityReport(generic=True)

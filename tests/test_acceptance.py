@@ -9,7 +9,7 @@ import json
 import time
 
 from arfrf.families import closed_form_rf, med_instances
-from arfrf.lattice import kernel_lattice, lattice_coordinates, lattice_index, rf_difference_lattice
+from arfrf.lattice import first_row_differences, kernel_lattice, lattice_coordinates, lattice_index
 from arfrf.rfmatrix import determinant, find_frobenius_det_witness, rf_matrices
 from arfrf.semigroup import from_generators
 from arfrf.verifier import VerifyConfig, load_fixtures, verify_claim
@@ -190,7 +190,7 @@ def test_criterion_9_lattice_equivalence(capsys):
     sg = from_generators([4, 10, 21, 23])
     V = kernel_lattice(sg)
     indexed = [
-        (determinant(m), lattice_index(lattice_coordinates(rf_difference_lattice(m), V), len(V)))
+        (determinant(m), lattice_index(lattice_coordinates(first_row_differences(m), V)))
         for m in rf_matrices(sg, sg.frobenius)
     ]
     assert any(abs(d) == 19 for d, _ in indexed) == any(i == 1 for _, i in indexed)

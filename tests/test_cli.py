@@ -516,3 +516,32 @@ def test_closure_cost_follows_multiplicity(gens):
     assert code == 0
     assert wall <= 10.0
     assert rss_mb <= 100.0
+
+
+def test_lemma45_cost_cliff_is_gone(tmp_path):
+    # seed 3 draws closure samples with 35,180,044 RF(F) matrices in all;
+    # every one has a zero pair by a count of the zeros each row must hold
+    code, wall, _ = _run_child_measured(
+        ["verify", "--claim", "Lemma4.5", "--seed", "3", "--report-dir", str(tmp_path)],
+        timeout=20.0,
+    )
+    assert code == 0
+    assert wall <= 20.0
+    report = json.loads((tmp_path / "Lemma4.5.json").read_text())
+    assert (report["status"], report["checked"]) == ("pass", 35_180_044)
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # the text listing of RF(F) for the med10 shape is about 1.6 MB, far more
+    # than a pipe holds, so the child is still writing when the reader leaves
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arfrf", "rf", "10", *map(str, range(31, 40))],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.stdout.readline().startswith(b"S = <10, 31, ")
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 141
+    assert (tmp_path / "stderr").read_bytes() == b""

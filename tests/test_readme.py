@@ -1,8 +1,8 @@
 """The README's Library block runs, and each `expr  # literal` line holds.
 
 A checked line's literal is the comment text before its first colon, so
-`lattice_index(lattice_coordinates(W, V), len(V))  # 1: [V(S) : W(S)]` checks
-against 1.
+`lattice_index(lattice_coordinates(first_row_differences(M), V))  # 1: [V(S) : W(S)]`
+checks against 1.
 """
 
 import ast

@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from arfrf import families, verifier
 from arfrf.cli import main
 from arfrf.errors import GridTooLarge, UnknownClaim
-from arfrf.rfmatrix import rf_matrices
+from arfrf.lattice import GenericityReport, is_generic
+from arfrf.rfmatrix import column_zero_pair, iter_rf_matrices, rf_matrices, rf_matrix_count
 from arfrf.semigroup import from_generators
 from arfrf.verifier import (
     CLAIMS,
@@ -24,6 +27,8 @@ from arfrf.verifier import (
     verify_all,
     verify_claim,
 )
+
+from test_semigroup import gen_sets
 
 QUICK = VerifyConfig(s_max=36, med_m_max=7, closure_samples=8, oracle_samples=30)
 
@@ -354,6 +359,76 @@ class TestRemarkAndLemma:
         )
         assert 1 < k < len(matrices)
         assert verifier._check_zero_pairs(sg, None) == (k, [{"matrix": first}])
+
+    def test_zero_pair_check_agrees_with_enumeration(self, monkeypatch):
+        # both branches: the closure samples and the last two instances are
+        # counted without a walk; the first five are walked, three of them
+        # to a counterexample
+        walks = []
+        monkeypatch.setattr(verifier, "product",
+                            lambda *rows: walks.append(rows) or itertools.product(*rows))
+        instances = [*sample_arf_closures(30, (6, 7), seed=11),
+                     *map(from_generators, [(5, 16, 17, 18), (5, 23, 24, 26), (5, 8, 11, 14),
+                                            (3, 7, 8), (4, 5, 6), (4, 10, 21, 23),
+                                            (5, 19, 21, 22, 23)])]
+        walked = []
+        for sg in instances:
+            before = len(walks)
+            assert verifier._check_zero_pairs(sg, None) == _zero_pairs_by_enumeration(sg)
+            walked.append(len(walks) > before)
+        assert walked == [False] * 30 + [True] * 5 + [False] * 2
+
+    @given(gen_sets(max_value=30, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_pair_check_agrees_with_enumeration_random(self, gens):
+        sg = from_generators(gens)
+        if sg.frobenius < 1 or rf_matrix_count(sg, sg.frobenius) > 5000:
+            return
+        assert verifier._check_zero_pairs(sg, None) == _zero_pairs_by_enumeration(sg)
+
+
+def _zero_pairs_by_enumeration(sg):
+    """Lemma4.5's check as a plain walk over all of RF(F), with no count."""
+    checked = 0
+    for matrix in iter_rf_matrices(sg, sg.frobenius):
+        checked += 1
+        if column_zero_pair(matrix) is None:
+            return checked, [{"matrix": matrix}]
+    return checked, []
+
+
+class TestNongenericWitnessRecheck:
+    """Each verdict of Thm5.7's re-check, on forged reports for <4, 10, 21, 23>."""
+
+    SG = from_generators([4, 10, 21, 23])
+
+    def recheck(self, **fields):
+        return verifier._recheck_nongeneric_witness(self.SG, GenericityReport(**fields))
+
+    def test_real_verdict_checks_out(self):
+        verdict = is_generic(self.SG)
+        assert verdict.column_clash is not None
+        assert verifier._recheck_nongeneric_witness(self.SG, verdict) is None
+
+    def test_reported_generic(self):
+        assert self.recheck(generic=True) == "reported generic"
+
+    def test_nonunique(self):
+        m1, m2 = rf_matrices(self.SG, 19)[:2]
+        assert self.recheck(generic=False, nonunique=(19, m1, m2)) is None
+        assert self.recheck(generic=False, nonunique=(19, m1, m1)) == "witness matrices coincide"
+        rotated = m1[1:] + m1[:1]  # the -1 entries leave the diagonal
+        assert (self.recheck(generic=False, nonunique=(19, m1, rotated))
+                == "witness matrix fails RF validity")
+
+    def test_column_clash(self):
+        f, matrix, i, i2, j = is_generic(self.SG).column_clash
+        rotated = matrix[1:] + matrix[:1]
+        assert (self.recheck(generic=False, column_clash=(f, rotated, i, i2, j))
+                == "witness matrix fails RF validity")
+        # rows 1 and 2 differ in column 1: -1 against an entry of at least 0
+        assert (self.recheck(generic=False, column_clash=(f, matrix, 0, 1, 0))
+                == "witness column entries differ")
 
 
 def test_golden_reports_byte_identical(tmp_path, capsys):
