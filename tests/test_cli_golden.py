@@ -39,6 +39,9 @@ COMMANDS = [
     "rf 9 25 31 33 39 --witness",
     "generic 3 7 8",
     "rf 10 31 32 33 34 35 36 37 38 39 --count-only",
+    # S = N: F(S) = -1, so the witness scans and genericity build no row choices
+    "rf 1 2 --witness",
+    "generic 1",
     # errors: exit 3, 3, 5, 3, 5, 2, 4, 4, 4
     "rf 2 5 --pf 4",
     "rf 1 --pf 0",
