@@ -55,6 +55,7 @@ from .rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
+    row_choices_memo,
     sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -150,13 +151,14 @@ def cmd_rf(args, argv) -> int:
     sg = from_generators(args.generators)
     pf = sg.pseudo_frobenius()
     targets = [args.pf] if args.pf is not None else list(pf)
+    choices = row_choices_memo(sg)  # the listing and the witness scans share RF(F)
     blocks = []
     lines = [f"S = {sg}   PF = {list(pf)}"]
     for f in targets:
         if args.count_only:
-            count = rf_matrix_count(sg, f)
+            count = rf_matrix_count(sg, f, choices)
         else:
-            matrices = rf_matrices(sg, f, max_matrices=args.max_rf)
+            matrices = rf_matrices(sg, f, args.max_rf, choices)
             count = len(matrices)
         block: dict = {"pf_element": f, "count": count}
         lines.append(f"RF({f}): {count} {'matrix' if count == 1 else 'matrices'}")
@@ -171,8 +173,8 @@ def cmd_rf(args, argv) -> int:
         blocks.append(block)
     payload: dict = {"generators": list(sg.generators), "pf": list(pf), "rf": blocks}
     if args.witness:
-        witness = find_frobenius_det_witness(sg)
-        sign_found = check_sign_conjecture(sg) is not None
+        witness = find_frobenius_det_witness(sg, choices)
+        sign_found = check_sign_conjecture(sg, choices) is not None
         payload["det_witness"] = witness
         payload["det_witness_value"] = None if witness is None else determinant(witness)
         payload["sign_target"] = sign_target(sg)
@@ -236,14 +238,15 @@ def cmd_relations(args, argv) -> int:
         print("error: no pseudo-Frobenius numbers (S covers all of N)", file=sys.stderr)
         return 3
     frob = sg.frobenius
+    choices = row_choices_memo(sg)  # the cap, the scan and the fallback share RF(F)
     if args.max_rf is not None:
-        count = rf_matrix_count(sg, frob)
+        count = rf_matrix_count(sg, frob, choices)
         if count > args.max_rf:
             raise TooManyMatrices(count, args.max_rf)
-    witness = find_frobenius_det_witness(sg)
+    witness = find_frobenius_det_witness(sg, choices)
     note = None
     if witness is None:
-        witness = next(iter_rf_matrices(sg, frob))
+        witness = next(iter_rf_matrices(sg, frob, choices))
         note = "no |det| = F witness exists; using the first RF matrix instead"
     V = kernel_lattice(sg)
     W = rf_difference_lattice(witness)  # printed only

@@ -9,8 +9,11 @@ grid (the bounds echoed in the report) and a check. The grid is the one
 statement of a claim's scope: ``_sources`` reads off it the slices of the one
 instance walk, ``_instances``, that the claim sweeps (a multiplicity<=5
 variant, the med shapes, the seeded Arf-closure samples or the seeded random
-generator sets, in that order). A check takes one instance and returns
-``(units checked, problems)``.
+generator sets, in that order). A check takes one instance, as
+``(semigroup, spec, choices)``, and returns ``(units checked, problems)``.
+``choices`` is the instance's ``row_choices_memo``: every check reads RF(f)
+from it, so each instance builds RF(f)'s row lists at most once, and the
+memo is dropped with the instance.
 
 ``verify_all`` is the one engine; ``verify_claim`` runs it on one claim. It
 builds each instance once, runs each distinct check on it once, and folds
@@ -46,7 +49,7 @@ from .rfmatrix import (
     find_frobenius_det_witness,
     is_rf_matrix,
     iter_rf_matrices,
-    rf_row_choices,
+    row_choices_memo,
     sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -352,14 +355,14 @@ def _sources(grid: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# checks: (semigroup, spec) -> (units checked, problems)
+# checks: (semigroup, spec, choices) -> (units checked, problems)
 #
 # A problem is a dict merged into the instance's ``where`` to form a
 # counterexample. A problem carrying a ``locus`` (variant, PF label) is a
 # closed-form table mismatch instead; the sweep groups those by locus.
 
 
-def _check_closed_form(sg, spec):
+def _check_closed_form(sg, spec, choices):
     if not sg.is_arf():
         return 0, [{"problem": "family instance is not Arf"}]
     pf = sg.pseudo_frobenius()
@@ -369,7 +372,7 @@ def _check_closed_form(sg, spec):
         return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(table)}]
     problems = []
     for f in pf:
-        enum = set(iter_rf_matrices(sg, f))
+        enum = set(iter_rf_matrices(sg, f, choices))
         closed = set(table[f])
         if enum != closed:
             locus = (spec.variant, families._label(spec, f))
@@ -378,12 +381,12 @@ def _check_closed_form(sg, spec):
     return len(pf), problems
 
 
-def _check_det_witness(sg, spec):
-    found = find_frobenius_det_witness(sg) is not None
+def _check_det_witness(sg, spec, choices):
+    found = find_frobenius_det_witness(sg, choices) is not None
     return 1, [] if found else [{"problem": "no determinant witness"}]
 
 
-def _check_med_invariants(sg, spec):
+def _check_med_invariants(sg, spec, choices):
     expected_gens = families.family_generators(spec)
     problems = []
     if not sg.is_arf():
@@ -395,20 +398,20 @@ def _check_med_invariants(sg, spec):
     return 1, [{"problem": problems}] if problems else []
 
 
-def _check_formula_rows(sg, spec):
+def _check_formula_rows(sg, spec, choices):
     table = families.closed_form_table(spec)
     problems = []
     for f, [formula] in table.items():
-        choices = rf_row_choices(sg, f)
+        rows = choices(f)
         for i, row in enumerate(formula):
-            if row not in choices[i]:
+            if row not in rows[i]:
                 problem = f"formula row {i + 1} = {row} is not a valid row factorization"
                 problems.append({"f": f, "problem": problem})
                 break
     return len(table), problems
 
 
-def _check_cor_det(sg, spec):
+def _check_cor_det(sg, spec, choices):
     [matrix] = families.closed_form_rf(spec, spec.s - 1)
     det = determinant(matrix)
     expected = (-1) ** (spec.m - 1) * (spec.s - 1)
@@ -416,7 +419,7 @@ def _check_cor_det(sg, spec):
     return 1, [] if det == expected else [{"problem": problem}]
 
 
-def _check_apery_shape(sg, spec):
+def _check_apery_shape(sg, spec, choices):
     m, s = sg.multiplicity, sg.conductor
     sbar = s % m
     w = sg.apery_table
@@ -430,28 +433,28 @@ def _check_apery_shape(sg, spec):
     return 1, [{"problem": problems}] if problems else []
 
 
-def _check_zero_pairs(sg, spec):
-    choices = rf_row_choices(sg, sg.frobenius)
+def _check_zero_pairs(sg, spec, choices):
+    rows = choices(sg.frobenius)
     # pigeonhole: more sure zeros than the e columns put two zeros in one column
-    if sum(min(r.count(0) for r in rows) for rows in choices) <= len(choices):
-        for checked, matrix in enumerate(product(*choices), start=1):
+    if sum(min(r.count(0) for r in candidates) for candidates in rows) <= len(rows):
+        for checked, matrix in enumerate(product(*rows), start=1):
             if column_zero_pair(matrix) is None:
                 return checked, [{"matrix": matrix}]
-    return prod(map(len, choices)), []
+    return prod(map(len, rows)), []
 
 
-def _check_index_vs_det(sg, spec):
+def _check_index_vs_det(sg, spec, choices):
     V = kernel_lattice(sg)
     f = sg.frobenius
-    choices = rf_row_choices(sg, f)
+    row_lists = choices(f)
     # Every row has degree f, so r - b lies in V for one base row b, and the
     # coordinates of a_1 - a_j are c(a_1) - c(a_j): one reduction per row choice.
-    base = choices[0][0]
-    rows = [r for row in choices for r in row]
+    base = row_lists[0][0]
+    rows = [r for row in row_lists for r in row]
     coords = dict(zip(rows, lattice_coordinates([[a - b for a, b in zip(r, base)] for r in rows], V)))
     problems = []
     has_det_witness = has_index_one = False
-    for matrix in product(*choices):
+    for matrix in product(*row_lists):
         det = determinant(matrix)
         first, *rest = map(coords.__getitem__, matrix)
         # list rows, not tuples: freed small tuples linger on CPython's free lists
@@ -468,13 +471,13 @@ def _check_index_vs_det(sg, spec):
     return 1, problems
 
 
-def _check_sign_witness(sg, spec):
+def _check_sign_witness(sg, spec, choices):
     problem = f"no RF matrix of {sg.frobenius} has determinant {sign_target(sg)}"
-    return 1, [] if check_sign_conjecture(sg) is not None else [{"problem": problem}]
+    return 1, [] if check_sign_conjecture(sg, choices) is not None else [{"problem": problem}]
 
 
-def _check_generic(sg, spec):
-    verdict = is_generic(sg)
+def _check_generic(sg, spec, choices):
+    verdict = is_generic(sg, choices)
     return 1, [] if verdict.generic else [{"problem": verdict.describe()}]
 
 
@@ -501,12 +504,12 @@ def _recheck_nongeneric_witness(sg, verdict) -> str | None:
     return None
 
 
-def _check_not_generic(sg, spec):
-    problem = _recheck_nongeneric_witness(sg, is_generic(sg))
+def _check_not_generic(sg, spec, choices):
+    problem = _recheck_nongeneric_witness(sg, is_generic(sg, choices))
     return 1, [] if problem is None else [{"problem": problem}]
 
 
-def _check_oracles(sg, spec):
+def _check_oracles(sg, spec, choices):
     gens, probes = spec
     top = sg.conductor + 2 * sg.generators[-1]
     table = _reach_table(list(gens), top)
@@ -525,7 +528,7 @@ def _check_oracles(sg, spec):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     if pf and sg.embedding_dimension <= 5:
-        for matrix in islice(iter_rf_matrices(sg, pf[-1]), 3):
+        for matrix in islice(iter_rf_matrices(sg, pf[-1], choices), 3):
             if determinant(matrix) != cofactor_determinant(matrix):
                 problems.append({"problem": "determinant oracles disagree", "matrix": matrix})
     return 1, problems
@@ -541,7 +544,7 @@ class Claim:
 
     description: str
     grid: Callable[[VerifyConfig], dict]
-    check: Callable[[NumericalSemigroup, object], tuple[int, list[dict]]]
+    check: Callable[[NumericalSemigroup, object, Callable], tuple[int, list[dict]]]
 
 
 def _closed_form_claim(description: str, variants) -> Claim:
@@ -677,7 +680,7 @@ def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[Claim
     instance is built; the config checked its own bounds when it was built.
     On each instance each distinct check runs once, for every claim whose
     grid names the instance's source, so a claim's report equals that of the
-    claim alone.
+    claim alone. The checks on one instance share one row-choice memo.
     """
     config = config or VerifyConfig()
     claim_ids, fixtures = check_request(config, claim_ids)
@@ -691,10 +694,11 @@ def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[Claim
             readers.setdefault(source, []).append(i)
     for source, sg, spec, where in _instances(config, readers):
         results: dict = {}
+        choices = row_choices_memo(sg)  # rebound per instance, so it dies with it
         for i in readers[source]:
             check = claims[i].check
             if check not in results:
-                results[check] = check(sg, spec)
+                results[check] = check(sg, spec, choices)
             located = where  # a claim that sweeps closure samples locates med ones alike
             if source == "med" and "closure_samples" in reports[i].grid:
                 located = {"semigroup": list(sg.generators), "origin": where["spec"]}

@@ -193,6 +193,29 @@ class TestRelations:
         assert out == ""
 
 
+@pytest.mark.parametrize("command, built", [
+    # the cap, the witness scan and the fallback all read RF(55)
+    ("relations 9 25 31 33 39 --max-rf 100", [55]),
+    # the listing and both witness scans share RF(18)
+    ("rf 5 19 21 22 23 --witness --max-rf 100", [14, 16, 17, 18]),
+    ("rf 2 5 --witness", [3]),
+    # S = N: F(S) < 1 and PF(S) is empty, so nothing is built
+    ("rf 1 2 --witness", []),
+    ("generic 1", []),
+])
+def test_row_choices_built_once_per_command(capsys, monkeypatch, command, built):
+    calls = []
+
+    def counted(sg, f):
+        calls.append(f)
+        return rf_row_choices(sg, f)
+
+    monkeypatch.setattr(rfmatrix, "rf_row_choices", counted)
+    code, _, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert sorted(calls) == built
+
+
 class TestNegativeCap:
     @pytest.mark.parametrize("command", ["rf", "relations"])
     def test_usage_error_exit_2(self, capsys, command):

@@ -1,16 +1,24 @@
 import dataclasses
 import itertools
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from arfrf import families, verifier
+from arfrf import families, rfmatrix, verifier
 from arfrf.cli import main
 from arfrf.errors import GridTooLarge, UnknownClaim
 from arfrf.lattice import GenericityReport, is_generic
-from arfrf.rfmatrix import column_zero_pair, iter_rf_matrices, rf_matrices, rf_matrix_count
+from arfrf.rfmatrix import (
+    column_zero_pair,
+    iter_rf_matrices,
+    rf_matrices,
+    rf_matrix_count,
+    row_choices_memo,
+)
 from arfrf.semigroup import from_generators
 from arfrf.verifier import (
     CLAIMS,
@@ -141,6 +149,44 @@ class TestClaims:
         verify_all(QUICK)
         assert built and len(built) == len(set(built))
 
+    def test_shared_row_choices_match_fresh_ones(self, monkeypatch):
+        # the per-instance memo against a fresh build for every request; a
+        # check that changed a shared row list would also show here
+        shared = [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
+        monkeypatch.setattr(verifier, "row_choices_memo",
+                            lambda sg: lambda f: rfmatrix.rf_row_choices(sg, f))
+        assert shared == [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
+
+    def test_row_choices_built_once_per_instance(self, monkeypatch):
+        # every arfrf binding of rf_row_choices is counted, tagged with the
+        # instance of the walk that is current
+        builds, current, memos = [], [None], []
+        build, walk, memo = rfmatrix.rf_row_choices, verifier._instances, verifier.row_choices_memo
+
+        def counted(sg, f):
+            builds.append((current[0], sg.generators, f))
+            return build(sg, f)
+
+        def tagged(config, sources):
+            for current[0], instance in enumerate(walk(config, sources)):
+                yield instance
+
+        def watched(sg):
+            # when an instance's memo is made, only the previous instance's is alive
+            assert all(ref() is None for ref in memos[:-1])
+            made = memo(sg)
+            memos.append(weakref.ref(made))
+            return made
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("arfrf")]:
+            for key, value in list(vars(module).items()):
+                if value is build:
+                    monkeypatch.setattr(module, key, counted)
+        monkeypatch.setattr(verifier, "_instances", tagged)
+        monkeypatch.setattr(verifier, "row_choices_memo", watched)
+        verify_all(QUICK)
+        assert builds and len(builds) == len(set(builds))
+
     def test_interleaved_claims_match_claims_run_alone(self):
         # claims that share an instance share its check result, which none may change
         ids = ["Props3.1-3.12", "Prop3.12", "Conj5.3", "Thm5.4.1", "Thm5.6", "Thm5.6"]
@@ -148,7 +194,7 @@ class TestClaims:
         assert together == [verify_claim(cid, QUICK).to_dict() for cid in ids]
 
     def test_counterexample_locations(self, monkeypatch):
-        def fail(sg, spec):
+        def fail(sg, spec, choices):
             return 1, [{"problem": "forced"}]
 
         ids = ["Prop3.1", "Prop3.4", "Lemma4.1", "Remark4.4", "OracleAgreement"]
@@ -358,7 +404,7 @@ class TestRemarkAndLemma:
             if all(sum(row[j] == 0 for row in m) < 2 for j in range(len(m)))
         )
         assert 1 < k < len(matrices)
-        assert verifier._check_zero_pairs(sg, None) == (k, [{"matrix": first}])
+        assert _check_zero_pairs(sg) == (k, [{"matrix": first}])
 
     def test_zero_pair_check_agrees_with_enumeration(self, monkeypatch):
         # both branches: the closure samples and the last two instances are
@@ -374,7 +420,7 @@ class TestRemarkAndLemma:
         walked = []
         for sg in instances:
             before = len(walks)
-            assert verifier._check_zero_pairs(sg, None) == _zero_pairs_by_enumeration(sg)
+            assert _check_zero_pairs(sg) == _zero_pairs_by_enumeration(sg)
             walked.append(len(walks) > before)
         assert walked == [False] * 30 + [True] * 5 + [False] * 2
 
@@ -384,7 +430,12 @@ class TestRemarkAndLemma:
         sg = from_generators(gens)
         if sg.frobenius < 1 or rf_matrix_count(sg, sg.frobenius) > 5000:
             return
-        assert verifier._check_zero_pairs(sg, None) == _zero_pairs_by_enumeration(sg)
+        assert _check_zero_pairs(sg) == _zero_pairs_by_enumeration(sg)
+
+
+def _check_zero_pairs(sg):
+    """Lemma4.5's check on ``sg``, with a row-choice memo of its own."""
+    return verifier._check_zero_pairs(sg, None, row_choices_memo(sg))
 
 
 def _zero_pairs_by_enumeration(sg):
