@@ -151,7 +151,7 @@ class TestClaims:
 
     def test_shared_row_choices_match_fresh_ones(self, monkeypatch):
         # the per-instance memo against a fresh build for every request; a
-        # check that changed a shared row list would also show here
+        # check that changed a shared row list under a later check shows too
         shared = [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
         monkeypatch.setattr(verifier, "row_choices_memo",
                             lambda sg: lambda f: rfmatrix.rf_row_choices(sg, f))
