@@ -32,7 +32,6 @@ from .rfmatrix import (
     find_frobenius_det_witness,
     is_rf_matrix,
     rf_matrices,
-    row_choices_memo,
     sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -74,7 +73,6 @@ __all__ = [
     "rf_difference_lattice",
     "rf_matrices",
     "rf_relations",
-    "row_choices_memo",
     "sign_target",
     "verify_all",
     "verify_claim",

@@ -55,7 +55,6 @@ from .rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
-    row_choices_memo,
     sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -140,6 +139,12 @@ def semigroup_lines(payload: dict) -> list[str]:
 # subcommands
 
 
+def _check_cap(sg: NumericalSemigroup, f: int, cap: int | None) -> None:
+    """TooManyMatrices (exit 5) when RF(f) holds more than ``cap`` matrices."""
+    if cap is not None and (count := rf_matrix_count(sg, f)) > cap:
+        raise TooManyMatrices(count, cap)
+
+
 def cmd_analyze(args, argv) -> int:
     sg = from_generators(args.generators)
     payload = semigroup_payload(sg)
@@ -151,14 +156,13 @@ def cmd_rf(args, argv) -> int:
     sg = from_generators(args.generators)
     pf = sg.pseudo_frobenius()
     targets = [args.pf] if args.pf is not None else list(pf)
-    choices = row_choices_memo(sg)  # the listing and the witness scans share RF(F)
     blocks = []
     lines = [f"S = {sg}   PF = {list(pf)}"]
     for f in targets:
         if args.count_only:
-            count = rf_matrix_count(sg, f, choices)
+            count = rf_matrix_count(sg, f)
         else:
-            matrices = rf_matrices(sg, f, args.max_rf, choices)
+            matrices = rf_matrices(sg, f, args.max_rf)
             count = len(matrices)
         block: dict = {"pf_element": f, "count": count}
         lines.append(f"RF({f}): {count} {'matrix' if count == 1 else 'matrices'}")
@@ -173,8 +177,10 @@ def cmd_rf(args, argv) -> int:
         blocks.append(block)
     payload: dict = {"generators": list(sg.generators), "pf": list(pf), "rf": blocks}
     if args.witness:
-        witness = find_frobenius_det_witness(sg, choices)
-        sign_found = check_sign_conjecture(sg, choices) is not None
+        if sg.frobenius >= 1:  # S = N has no RF(F) to cap
+            _check_cap(sg, sg.frobenius, args.max_rf)
+        witness = find_frobenius_det_witness(sg)
+        sign_found = check_sign_conjecture(sg) is not None
         payload["det_witness"] = witness
         payload["det_witness_value"] = None if witness is None else determinant(witness)
         payload["sign_target"] = sign_target(sg)
@@ -238,15 +244,11 @@ def cmd_relations(args, argv) -> int:
         print("error: no pseudo-Frobenius numbers (S covers all of N)", file=sys.stderr)
         return 3
     frob = sg.frobenius
-    choices = row_choices_memo(sg)  # the cap, the scan and the fallback share RF(F)
-    if args.max_rf is not None:
-        count = rf_matrix_count(sg, frob, choices)
-        if count > args.max_rf:
-            raise TooManyMatrices(count, args.max_rf)
-    witness = find_frobenius_det_witness(sg, choices)
+    _check_cap(sg, frob, args.max_rf)
+    witness = find_frobenius_det_witness(sg)
     note = None
     if witness is None:
-        witness = next(iter_rf_matrices(sg, frob, choices))
+        witness = next(iter_rf_matrices(sg, frob))
         note = "no |det| = F witness exists; using the first RF matrix instead"
     V = kernel_lattice(sg)
     W = rf_difference_lattice(witness)  # printed only

@@ -145,14 +145,14 @@ class GenericityReport:
         )
 
 
-def is_generic(sg: NumericalSemigroup, choices=None) -> GenericityReport:
+def is_generic(sg: NumericalSemigroup) -> GenericityReport:
     """Genericity of the defining toric ideal, decided from RF matrices.
 
-    Each RF(f) comes from ``choices``, a ``row_choices_memo`` of S, when given;
-    for S = N, whose PF set is empty, nothing is built.
+    Each RF(f) is read from the row lists S keeps, so the witness scans reuse
+    the ones this builds; for S = N, whose PF set is empty, nothing is built.
     """
     for f in sg.pseudo_frobenius():
-        matrix, *more = islice(iter_rf_matrices(sg, f, choices), 2)
+        matrix, *more = islice(iter_rf_matrices(sg, f), 2)
         if more:
             return GenericityReport(generic=False, nonunique=(f, matrix, *more))
         e = len(matrix)

@@ -7,20 +7,18 @@ the closed-form tables. Enumeration is the Cartesian product of the per-row
 lists, emitted row-major so row 1 varies slowest; per-row lists come out of
 the factorization engine largest-first.
 
-Building RF(f)'s row lists costs e factorization searches, so a caller that
-asks about RF(f) more than once holds one ``row_choices_memo(sg)`` and passes
-it as ``choices`` to the count, the enumerations and the scans below: each f
-is then built once for as long as the caller keeps the memo. Without
-``choices`` a function builds its own lists afresh.
+Building RF(f)'s row lists costs e factorization searches, so the count, the
+enumerations and the scans below read them through ``rf_rows``, which keeps
+them on the semigroup: each f is built once per semigroup object, and the
+lists go when the object does.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from contextlib import closing
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotPseudoFrobenius, TooManyMatrices
 from .factorization import factorization_vectors
@@ -60,44 +58,37 @@ def rf_row_choices(sg: NumericalSemigroup, f: int) -> RowChoices:
     ]
 
 
-def row_choices_memo(sg: NumericalSemigroup) -> Callable[[int], RowChoices]:
-    """f -> ``rf_row_choices(sg, f)``, built at most once per f while the memo lives.
-
-    It looks ``rf_row_choices`` up in this module at each build, so a wrapper
-    installed on that binding sees every build. The lists are shared: no
-    reader may change them.
+def rf_rows(sg: NumericalSemigroup, f: int) -> RowChoices:
+    """``rf_row_choices(sg, f)``, built once per semigroup object and kept in its
+    ``rf_row_cache`` (NotPseudoFrobenius is never cached). Each build looks
+    ``rf_row_choices`` up in this module, so a wrapper installed on that
+    binding sees it. The lists are shared: no reader may change them.
     """
-    return functools.cache(lambda f: rf_row_choices(sg, f))
+    rows = sg.rf_row_cache.get(f)
+    if rows is None:
+        rows = sg.rf_row_cache[f] = rf_row_choices(sg, f)
+    return rows
 
 
-def _rows(sg: NumericalSemigroup, f: int, choices) -> RowChoices:
-    return rf_row_choices(sg, f) if choices is None else choices(f)
-
-
-def rf_matrix_count(sg: NumericalSemigroup, f: int, choices=None) -> int:
+def rf_matrix_count(sg: NumericalSemigroup, f: int) -> int:
     """Number of RF matrices of f: the product of the per-row choice counts."""
-    return math.prod(len(rows) for rows in _rows(sg, f, choices))
+    return math.prod(len(rows) for rows in rf_rows(sg, f))
 
 
-def iter_rf_matrices(sg: NumericalSemigroup, f: int, choices=None) -> Iterator[Matrix]:
+def iter_rf_matrices(sg: NumericalSemigroup, f: int) -> Iterator[Matrix]:
     """Lazy row-major enumeration (first row varies slowest)."""
-    yield from itertools.product(*_rows(sg, f, choices))
+    yield from itertools.product(*rf_rows(sg, f))
 
 
-def rf_matrices(
-    sg: NumericalSemigroup, f: int, max_matrices: int | None = None, choices=None
-) -> list[Matrix]:
+def rf_matrices(sg: NumericalSemigroup, f: int, max_matrices: int | None = None) -> list[Matrix]:
     """The complete RF matrix list of f, in deterministic canonical order.
 
     ``max_matrices`` is a safety cap for front ends; enumeration itself is
     unbounded by default.
     """
-    rows = _rows(sg, f, choices)
-    if max_matrices is not None:
-        count = math.prod(len(r) for r in rows)
-        if count > max_matrices:
-            raise TooManyMatrices(count, max_matrices)
-    return list(itertools.product(*rows))
+    if max_matrices is not None and (count := rf_matrix_count(sg, f)) > max_matrices:
+        raise TooManyMatrices(count, max_matrices)
+    return list(itertools.product(*rf_rows(sg, f)))
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -105,24 +96,23 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return bareiss_determinant(matrix)
 
 
-def _first_frobenius_matrix(sg: NumericalSemigroup, wanted, choices) -> Matrix | None:
+def _first_frobenius_matrix(sg: NumericalSemigroup, wanted) -> Matrix | None:
     """First RF matrix of F(S), in the canonical enumeration order, whose
     determinant satisfies ``wanted``; None when none does, and None with
     nothing built when F(S) < 1."""
     if sg.frobenius < 1:
         return None
-    with closing(iter_rf_matrices(sg, sg.frobenius, choices)) as matrices:
+    with closing(iter_rf_matrices(sg, sg.frobenius)) as matrices:
         return next((m for m in matrices if wanted(determinant(m))), None)
 
 
-def find_frobenius_det_witness(sg: NumericalSemigroup, choices=None) -> Matrix | None:
+def find_frobenius_det_witness(sg: NumericalSemigroup) -> Matrix | None:
     """First RF matrix of F(S) whose determinant has absolute value F(S).
 
     Scans the canonical enumeration order, so the result is reproducible.
-    Returns None when no matrix qualifies (or when PF(S) is empty). RF(F)'s
-    rows come from ``choices``, a :func:`row_choices_memo` of S, when given.
+    Returns None when no matrix qualifies (or when PF(S) is empty).
     """
-    return _first_frobenius_matrix(sg, lambda det: abs(det) == sg.frobenius, choices)
+    return _first_frobenius_matrix(sg, lambda det: abs(det) == sg.frobenius)
 
 
 def sign_target(sg: NumericalSemigroup) -> int:
@@ -130,14 +120,13 @@ def sign_target(sg: NumericalSemigroup) -> int:
     return (-1) ** (sg.embedding_dimension + 1) * sg.frobenius
 
 
-def check_sign_conjecture(sg: NumericalSemigroup, choices=None) -> Matrix | None:
+def check_sign_conjecture(sg: NumericalSemigroup) -> Matrix | None:
     """First RF matrix of F(S) with determinant exactly :func:`sign_target`.
 
-    Scans the canonical enumeration order and takes ``choices`` as
-    :func:`find_frobenius_det_witness` does. Returns None when no matrix
-    qualifies (or when PF(S) is empty).
+    Scans the canonical enumeration order, so the result is reproducible.
+    Returns None when no matrix qualifies (or when PF(S) is empty).
     """
-    return _first_frobenius_matrix(sg, sign_target(sg).__eq__, choices)
+    return _first_frobenius_matrix(sg, sign_target(sg).__eq__)
 
 
 def column_zero_pair(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:

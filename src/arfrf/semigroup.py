@@ -2,10 +2,13 @@
 
 A semigroup is built once from a generator set, in O(m e) for multiplicity m
 and e input generators: one round-robin pass gives the Apéry table modulo m
-and the minimal system. After that every instance is immutable and all queries
-are pure, so instances can be shared freely across threads. Membership is one
-table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests the m
-Apéry candidates. The Arf test and the Arf closure both read the multiplicity
+and the minimal system. After that an instance is immutable but for one
+write-once cache, where ``rfmatrix.rf_rows`` keeps RF(f)'s row lists for as
+long as the instance lives. Queries are pure and a cache entry is stored whole
+and never changed, so instances can be shared freely across threads: a race
+on one f at worst builds equal lists twice. Membership is one table lookup,
+the pseudo-Frobenius test is e of them, and PF(S) tests the m Apéry
+candidates. The Arf test and the Arf closure both read the multiplicity
 sequence.
 """
 
@@ -32,6 +35,8 @@ class NumericalSemigroup:
     frobenius: int = field(compare=False)
     conductor: int = field(compare=False)
     apery_table: tuple[int, ...] = field(compare=False, repr=False)
+    # f -> RF(f)'s row lists, filled by rfmatrix.rf_rows; outside equality, hash and repr
+    rf_row_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.generators)) + ">"

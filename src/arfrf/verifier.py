@@ -10,10 +10,10 @@ statement of a claim's scope: ``_sources`` reads off it the slices of the one
 instance walk, ``_instances``, that the claim sweeps (a multiplicity<=5
 variant, the med shapes, the seeded Arf-closure samples or the seeded random
 generator sets, in that order). A check takes one instance, as
-``(semigroup, spec, choices)``, and returns ``(units checked, problems)``.
-``choices`` is the instance's ``row_choices_memo``: every check reads RF(f)
-from it, so each instance builds RF(f)'s row lists at most once, and the
-memo is dropped with the instance.
+``(semigroup, spec)``, and returns ``(units checked, problems)``. Every check
+reads RF(f) through ``rf_rows``, which keeps the row lists on the semigroup,
+so each instance builds RF(f)'s row lists at most once and they go with it;
+the walk holds no earlier instance while it builds the next.
 
 ``verify_all`` is the one engine; ``verify_claim`` runs it on one claim. It
 builds each instance once, runs each distinct check on it once, and folds
@@ -49,7 +49,7 @@ from .rfmatrix import (
     find_frobenius_det_witness,
     is_rf_matrix,
     iter_rf_matrices,
-    row_choices_memo,
+    rf_rows,
     sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -322,8 +322,11 @@ def _instances(config: VerifyConfig, sources):
                 yield "med", families.build_family(spec), spec, {"spec": _spec_dict(spec)}
     if "closure" in sources:
         origin = {"origin": "arf-closure-sample", "seed": config.seed}
-        for sg in sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed):
+        samples = sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed)[::-1]
+        while samples:  # popped and dropped as walked: a walked sample's RF row lists go with it
+            sg = samples.pop()
             yield "closure", sg, None, {"semigroup": list(sg.generators), "origin": origin}
+            del sg
     if "random" in sources:
         rng = random.Random(config.seed + 1)
         for gens in random_semigroups(config.oracle_samples, config.seed):
@@ -355,14 +358,14 @@ def _sources(grid: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# checks: (semigroup, spec, choices) -> (units checked, problems)
+# checks: (semigroup, spec) -> (units checked, problems)
 #
 # A problem is a dict merged into the instance's ``where`` to form a
 # counterexample. A problem carrying a ``locus`` (variant, PF label) is a
 # closed-form table mismatch instead; the sweep groups those by locus.
 
 
-def _check_closed_form(sg, spec, choices):
+def _check_closed_form(sg, spec):
     if not sg.is_arf():
         return 0, [{"problem": "family instance is not Arf"}]
     pf = sg.pseudo_frobenius()
@@ -372,7 +375,7 @@ def _check_closed_form(sg, spec, choices):
         return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(table)}]
     problems = []
     for f in pf:
-        enum = set(iter_rf_matrices(sg, f, choices))
+        enum = set(iter_rf_matrices(sg, f))
         closed = set(table[f])
         if enum != closed:
             locus = (spec.variant, families._label(spec, f))
@@ -381,12 +384,12 @@ def _check_closed_form(sg, spec, choices):
     return len(pf), problems
 
 
-def _check_det_witness(sg, spec, choices):
-    found = find_frobenius_det_witness(sg, choices) is not None
+def _check_det_witness(sg, spec):
+    found = find_frobenius_det_witness(sg) is not None
     return 1, [] if found else [{"problem": "no determinant witness"}]
 
 
-def _check_med_invariants(sg, spec, choices):
+def _check_med_invariants(sg, spec):
     expected_gens = families.family_generators(spec)
     problems = []
     if not sg.is_arf():
@@ -398,11 +401,11 @@ def _check_med_invariants(sg, spec, choices):
     return 1, [{"problem": problems}] if problems else []
 
 
-def _check_formula_rows(sg, spec, choices):
+def _check_formula_rows(sg, spec):
     table = families.closed_form_table(spec)
     problems = []
     for f, [formula] in table.items():
-        rows = choices(f)
+        rows = rf_rows(sg, f)
         for i, row in enumerate(formula):
             if row not in rows[i]:
                 problem = f"formula row {i + 1} = {row} is not a valid row factorization"
@@ -411,7 +414,7 @@ def _check_formula_rows(sg, spec, choices):
     return len(table), problems
 
 
-def _check_cor_det(sg, spec, choices):
+def _check_cor_det(sg, spec):
     [matrix] = families.closed_form_rf(spec, spec.s - 1)
     det = determinant(matrix)
     expected = (-1) ** (spec.m - 1) * (spec.s - 1)
@@ -419,7 +422,7 @@ def _check_cor_det(sg, spec, choices):
     return 1, [] if det == expected else [{"problem": problem}]
 
 
-def _check_apery_shape(sg, spec, choices):
+def _check_apery_shape(sg, spec):
     m, s = sg.multiplicity, sg.conductor
     sbar = s % m
     w = sg.apery_table
@@ -433,8 +436,8 @@ def _check_apery_shape(sg, spec, choices):
     return 1, [{"problem": problems}] if problems else []
 
 
-def _check_zero_pairs(sg, spec, choices):
-    rows = choices(sg.frobenius)
+def _check_zero_pairs(sg, spec):
+    rows = rf_rows(sg, sg.frobenius)
     # pigeonhole: more sure zeros than the e columns put two zeros in one column
     if sum(min(r.count(0) for r in candidates) for candidates in rows) <= len(rows):
         for checked, matrix in enumerate(product(*rows), start=1):
@@ -443,10 +446,10 @@ def _check_zero_pairs(sg, spec, choices):
     return prod(map(len, rows)), []
 
 
-def _check_index_vs_det(sg, spec, choices):
+def _check_index_vs_det(sg, spec):
     V = kernel_lattice(sg)
     f = sg.frobenius
-    row_lists = choices(f)
+    row_lists = rf_rows(sg, f)
     # Every row has degree f, so r - b lies in V for one base row b, and the
     # coordinates of a_1 - a_j are c(a_1) - c(a_j): one reduction per row choice.
     base = row_lists[0][0]
@@ -471,13 +474,13 @@ def _check_index_vs_det(sg, spec, choices):
     return 1, problems
 
 
-def _check_sign_witness(sg, spec, choices):
+def _check_sign_witness(sg, spec):
     problem = f"no RF matrix of {sg.frobenius} has determinant {sign_target(sg)}"
-    return 1, [] if check_sign_conjecture(sg, choices) is not None else [{"problem": problem}]
+    return 1, [] if check_sign_conjecture(sg) is not None else [{"problem": problem}]
 
 
-def _check_generic(sg, spec, choices):
-    verdict = is_generic(sg, choices)
+def _check_generic(sg, spec):
+    verdict = is_generic(sg)
     return 1, [] if verdict.generic else [{"problem": verdict.describe()}]
 
 
@@ -504,12 +507,12 @@ def _recheck_nongeneric_witness(sg, verdict) -> str | None:
     return None
 
 
-def _check_not_generic(sg, spec, choices):
-    problem = _recheck_nongeneric_witness(sg, is_generic(sg, choices))
+def _check_not_generic(sg, spec):
+    problem = _recheck_nongeneric_witness(sg, is_generic(sg))
     return 1, [] if problem is None else [{"problem": problem}]
 
 
-def _check_oracles(sg, spec, choices):
+def _check_oracles(sg, spec):
     gens, probes = spec
     top = sg.conductor + 2 * sg.generators[-1]
     table = _reach_table(list(gens), top)
@@ -528,7 +531,7 @@ def _check_oracles(sg, spec, choices):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     if pf and sg.embedding_dimension <= 5:
-        for matrix in islice(iter_rf_matrices(sg, pf[-1], choices), 3):
+        for matrix in islice(iter_rf_matrices(sg, pf[-1]), 3):
             if determinant(matrix) != cofactor_determinant(matrix):
                 problems.append({"problem": "determinant oracles disagree", "matrix": matrix})
     return 1, problems
@@ -544,7 +547,7 @@ class Claim:
 
     description: str
     grid: Callable[[VerifyConfig], dict]
-    check: Callable[[NumericalSemigroup, object, Callable], tuple[int, list[dict]]]
+    check: Callable[[NumericalSemigroup, object], tuple[int, list[dict]]]
 
 
 def _closed_form_claim(description: str, variants) -> Claim:
@@ -680,7 +683,7 @@ def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[Claim
     instance is built; the config checked its own bounds when it was built.
     On each instance each distinct check runs once, for every claim whose
     grid names the instance's source, so a claim's report equals that of the
-    claim alone. The checks on one instance share one row-choice memo.
+    claim alone. The checks on one instance share the row lists it keeps.
     """
     config = config or VerifyConfig()
     claim_ids, fixtures = check_request(config, claim_ids)
@@ -694,11 +697,10 @@ def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[Claim
             readers.setdefault(source, []).append(i)
     for source, sg, spec, where in _instances(config, readers):
         results: dict = {}
-        choices = row_choices_memo(sg)  # rebound per instance, so it dies with it
         for i in readers[source]:
             check = claims[i].check
             if check not in results:
-                results[check] = check(sg, spec, choices)
+                results[check] = check(sg, spec)
             located = where  # a claim that sweeps closure samples locates med ones alike
             if source == "med" and "closure_samples" in reports[i].grid:
                 located = {"semigroup": list(sg.generators), "origin": where["spec"]}

@@ -110,6 +110,18 @@ class TestRF:
         assert code == 5
         assert "cap 0" in err
 
+    def test_witness_cap_exit_5_before_witness_scans(self, capsys, monkeypatch):
+        # RF(6) of <4, 10, 21, 23> holds one matrix, so the listing passes the
+        # cap; RF(19) holds nine, so the witness scans must not start
+        dets = []
+        monkeypatch.setattr(rfmatrix, "determinant", lambda m: dets.append(m) or 0)
+        code, out, err = run_cli(
+            capsys, "rf", "4", "10", "21", "23", "--pf", "6", "--max-rf", "1", "--witness"
+        )
+        assert code == 5
+        assert "9 matrices" in err and "cap 1" in err
+        assert out == "" and dets == []
+
     def test_row_choices_built_once_per_pf_element(self, capsys, monkeypatch):
         calls = []
 

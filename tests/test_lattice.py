@@ -31,7 +31,6 @@ from arfrf.rfmatrix import (
     rf_matrices,
     rf_matrix_count,
     rf_row_choices,
-    row_choices_memo,
 )
 from arfrf.semigroup import from_generators
 from arfrf.verifier import VerifyConfig, cofactor_determinant, parse_config_text
@@ -248,7 +247,7 @@ def _recorded_check(sg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "lattice_index", recorded_index)
         mp.setattr(arfrf.lattice, "hnf_coordinates", counted_coordinates)
-        _, problems = verifier._check_index_vs_det(sg, None, row_choices_memo(sg))
+        _, problems = verifier._check_index_vs_det(sg, None)
     return problems, indices, len(vectors)
 
 

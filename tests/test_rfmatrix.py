@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arfrf import rfmatrix
 from arfrf.errors import NotPseudoFrobenius, TooManyMatrices
 from arfrf.factorization import count_factorizations, factorization_vectors
 from arfrf.rfmatrix import (
@@ -16,8 +17,10 @@ from arfrf.rfmatrix import (
     rf_matrices,
     rf_matrix_count,
     rf_row_choices,
+    rf_rows,
     sign_target,
 )
+from arfrf.lattice import is_generic
 from arfrf.semigroup import from_generators
 from arfrf.verifier import cofactor_determinant
 
@@ -100,6 +103,48 @@ class TestEnumeration:
         with pytest.raises(TooManyMatrices):
             rf_matrices(sg, 18, max_matrices=3)
         assert len(rf_matrices(sg, 18, max_matrices=4)) == 4
+
+
+class TestRowCache:
+    """RF(f)'s row lists are built once per semigroup object and kept on it."""
+
+    def test_built_once_per_semigroup_object(self, monkeypatch):
+        built = []
+
+        def counted(sg, f):
+            built.append(f)
+            return rf_row_choices(sg, f)
+
+        monkeypatch.setattr(rfmatrix, "rf_row_choices", counted)
+        sg = from_generators([4, 10, 21, 23])
+        for f in sg.pseudo_frobenius():
+            assert rf_matrix_count(sg, f) == len(rf_matrices(sg, f))
+        assert find_frobenius_det_witness(sg) == check_sign_conjecture(sg)
+        assert not is_generic(sg).generic
+        assert sorted(built) == [6, 17, 19]
+        # the cache is per object: an equal semigroup built again builds again
+        again = from_generators([4, 10, 21, 23])
+        assert again == sg and hash(again) == hash(sg)
+        assert find_frobenius_det_witness(again) == find_frobenius_det_witness(sg)
+        assert sorted(built) == [6, 17, 19, 19]
+
+    def test_shared_lists_equal_fresh_ones(self):
+        sg = from_generators([5, 19, 21, 22, 23])
+        for f in sg.pseudo_frobenius():
+            assert rf_rows(sg, f) is rf_rows(sg, f)
+            assert rf_rows(sg, f) == rf_row_choices(sg, f)
+
+    def test_non_pf_is_not_cached(self):
+        sg = from_generators([4, 10, 21, 23])
+        for _ in range(2):
+            with pytest.raises(NotPseudoFrobenius):
+                rf_rows(sg, 5)
+        assert 5 not in sg.rf_row_cache
+
+    def test_cache_stays_out_of_equality_and_repr(self):
+        sg = from_generators([2, 5])
+        rf_rows(sg, 3)
+        assert sg == from_generators([2, 5]) and "rf_row_cache" not in repr(sg)
 
 
 def _with_row(matrix, i, row):

@@ -17,7 +17,6 @@ from arfrf.rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
-    row_choices_memo,
 )
 from arfrf.semigroup import from_generators
 from arfrf.verifier import (
@@ -114,6 +113,14 @@ class TestSampling:
             assert sg.embedding_dimension <= 6
 
 
+def _patch_every_binding(monkeypatch, old, new):
+    """Point every arfrf module name bound to ``old`` at ``new``."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("arfrf")]:
+        for key, value in list(vars(module).items()):
+            if value is old:
+                monkeypatch.setattr(module, key, new)
+
+
 class TestClaims:
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaim):
@@ -150,42 +157,41 @@ class TestClaims:
         assert built and len(built) == len(set(built))
 
     def test_shared_row_choices_match_fresh_ones(self, monkeypatch):
-        # the per-instance memo against a fresh build for every request; a
-        # check that changed a shared row list under a later check shows too
+        # the row lists kept on each instance against a fresh build for every
+        # request; a check that changed a shared row list under a later check shows too
         shared = [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
-        monkeypatch.setattr(verifier, "row_choices_memo",
-                            lambda sg: lambda f: rfmatrix.rf_row_choices(sg, f))
+        _patch_every_binding(monkeypatch, rfmatrix.rf_rows,
+                             lambda sg, f: rfmatrix.rf_row_choices(sg, f))
         assert shared == [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
 
     def test_row_choices_built_once_per_instance(self, monkeypatch):
         # every arfrf binding of rf_row_choices is counted, tagged with the
         # instance of the walk that is current
-        builds, current, memos = [], [None], []
-        build, walk, memo = rfmatrix.rf_row_choices, verifier._instances, verifier.row_choices_memo
+        builds, current, alive = [], [None], []
+        build, walk = rfmatrix.rf_row_choices, verifier._instances
+
+        class Rows(list):  # a list that takes weak references, as slotted semigroups do not
+            pass
 
         def counted(sg, f):
-            builds.append((current[0], sg.generators, f))
-            return build(sg, f)
+            k = current[0]
+            builds.append((k, sg.generators, f))
+            # when instance k builds, the row lists of every earlier instance are gone
+            assert [i for i, ref in alive if i < k and ref() is not None] == []
+            alive[:] = [(i, ref) for i, ref in alive if i == k]
+            rows = Rows(build(sg, f))
+            alive.append((k, weakref.ref(rows)))
+            return rows
 
         def tagged(config, sources):
             for current[0], instance in enumerate(walk(config, sources)):
                 yield instance
 
-        def watched(sg):
-            # when an instance's memo is made, only the previous instance's is alive
-            assert all(ref() is None for ref in memos[:-1])
-            made = memo(sg)
-            memos.append(weakref.ref(made))
-            return made
-
-        for module in [m for name, m in sys.modules.items() if name.startswith("arfrf")]:
-            for key, value in list(vars(module).items()):
-                if value is build:
-                    monkeypatch.setattr(module, key, counted)
+        _patch_every_binding(monkeypatch, build, counted)
         monkeypatch.setattr(verifier, "_instances", tagged)
-        monkeypatch.setattr(verifier, "row_choices_memo", watched)
         verify_all(QUICK)
         assert builds and len(builds) == len(set(builds))
+        assert len({k for k, _, _ in builds}) > QUICK.closure_samples  # the walk reached past them
 
     def test_interleaved_claims_match_claims_run_alone(self):
         # claims that share an instance share its check result, which none may change
@@ -194,7 +200,7 @@ class TestClaims:
         assert together == [verify_claim(cid, QUICK).to_dict() for cid in ids]
 
     def test_counterexample_locations(self, monkeypatch):
-        def fail(sg, spec, choices):
+        def fail(sg, spec):
             return 1, [{"problem": "forced"}]
 
         ids = ["Prop3.1", "Prop3.4", "Lemma4.1", "Remark4.4", "OracleAgreement"]
@@ -434,8 +440,8 @@ class TestRemarkAndLemma:
 
 
 def _check_zero_pairs(sg):
-    """Lemma4.5's check on ``sg``, with a row-choice memo of its own."""
-    return verifier._check_zero_pairs(sg, None, row_choices_memo(sg))
+    """Lemma4.5's check on ``sg``."""
+    return verifier._check_zero_pairs(sg, None)
 
 
 def _zero_pairs_by_enumeration(sg):
