@@ -191,7 +191,6 @@ class TestClaims:
         monkeypatch.setattr(verifier, "_instances", tagged)
         verify_all(QUICK)
         assert builds and len(builds) == len(set(builds))
-        assert len({k for k, _, _ in builds}) > QUICK.closure_samples  # the walk reached past them
 
     def test_interleaved_claims_match_claims_run_alone(self):
         # claims that share an instance share its check result, which none may change
