@@ -162,7 +162,8 @@ def cmd_rf(args, argv) -> int:
         if args.count_only:
             count = rf_matrix_count(sg, f)
         else:
-            matrices = rf_matrices(sg, f, args.max_rf)
+            _check_cap(sg, f, args.max_rf)
+            matrices = rf_matrices(sg, f)
             count = len(matrices)
         block: dict = {"pf_element": f, "count": count}
         lines.append(f"RF({f}): {count} {'matrix' if count == 1 else 'matrices'}")
@@ -338,7 +339,7 @@ def cmd_verify(args, argv) -> int:
                         if key in verifier._CONFIG_INT_KEYS and value is not None)
         config = verifier.VerifyConfig(**settings)
         claim_ids, _ = verifier.check_request(config, args.claim or claim_ids)
-        targets = {cid: report_dir / f"{cid.replace('/', '_')}.json" for cid in claim_ids}
+        targets = {cid: report_dir / f"{cid}.json" for cid in claim_ids}
         summary_path = report_dir / "summary.json"
         for path in [*targets.values(), summary_path]:
             if path.is_dir():

@@ -630,7 +630,7 @@ CLAIM_VARIANTS = {
 def family_instances(variant: str, s_max: int) -> list[FamilySpec]:
     """Every legal spec of the variant with conductor at most ``s_max``, by (s, k)."""
     if variant == "med":
-        raise InvalidFamily("med sweeps are enumerated by med_instances(m, s_max)")
+        raise InvalidFamily("med sweeps are enumerated by med_instances(m, s_values)")
     row = VARIANTS[variant]
     out = []
     for s in range(row.least_s, s_max + 1, row.m):

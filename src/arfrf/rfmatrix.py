@@ -20,7 +20,7 @@ import math
 from contextlib import closing
 from typing import Iterator, Sequence
 
-from .errors import NotPseudoFrobenius, TooManyMatrices
+from .errors import NotPseudoFrobenius
 from .factorization import factorization_vectors
 from .intmat import bareiss_determinant
 from .semigroup import NumericalSemigroup
@@ -80,14 +80,8 @@ def iter_rf_matrices(sg: NumericalSemigroup, f: int) -> Iterator[Matrix]:
     yield from itertools.product(*rf_rows(sg, f))
 
 
-def rf_matrices(sg: NumericalSemigroup, f: int, max_matrices: int | None = None) -> list[Matrix]:
-    """The complete RF matrix list of f, in deterministic canonical order.
-
-    ``max_matrices`` is a safety cap for front ends; enumeration itself is
-    unbounded by default.
-    """
-    if max_matrices is not None and (count := rf_matrix_count(sg, f)) > max_matrices:
-        raise TooManyMatrices(count, max_matrices)
+def rf_matrices(sg: NumericalSemigroup, f: int) -> list[Matrix]:
+    """The complete RF matrix list of f, in deterministic canonical order."""
     return list(itertools.product(*rf_rows(sg, f)))
 
 

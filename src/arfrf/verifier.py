@@ -449,25 +449,24 @@ def _check_zero_pairs(sg, spec):
 def _check_index_vs_det(sg, spec):
     V = kernel_lattice(sg)
     f = sg.frobenius
-    row_lists = rf_rows(sg, f)
-    # Every row has degree f, so r - b lies in V for one base row b, and the
-    # coordinates of a_1 - a_j are c(a_1) - c(a_j): one reduction per row choice.
-    base = row_lists[0][0]
-    rows = [r for row in row_lists for r in row]
-    coords = dict(zip(rows, lattice_coordinates([[a - b for a, b in zip(r, base)] for r in rows], V)))
+    first_row, *later_rows = rf_rows(sg, f)
     problems = []
     has_det_witness = has_index_one = False
-    for matrix in product(*row_lists):
-        det = determinant(matrix)
-        first, *rest = map(coords.__getitem__, matrix)
-        # list rows, not tuples: freed small tuples linger on CPython's free lists
-        idx = lattice_index([[x - y for x, y in zip(first, c)] for c in rest])
-        has_det_witness |= abs(det) == f
-        has_index_one |= idx == 1
-        if (idx or 0) * f != abs(det):  # Thm 5.2: |det| = F * [V : W], 0 on a rank drop
-            problems.append(
-                {"matrix": matrix, "problem": f"index {idx} inconsistent with det {det}"}
-            )
+    # Row 1 varies slowest, so a_1 - r is reduced once per choice a_1 and later-row
+    # choice r (an MED semigroup's row 1 has one choice: F + m is a minimal generator).
+    for first in first_row:
+        later_coords = [lattice_coordinates([[a - b for a, b in zip(first, r)] for r in row], V)
+                        for row in later_rows]
+        for rest, coords in zip(product(*later_rows), product(*later_coords)):
+            matrix = (first, *rest)
+            det = determinant(matrix)
+            idx = lattice_index(coords)
+            has_det_witness |= abs(det) == f
+            has_index_one |= idx == 1
+            if (idx or 0) * f != abs(det):  # Thm 5.2: |det| = F * [V : W], 0 on a rank drop
+                problems.append(
+                    {"matrix": matrix, "problem": f"index {idx} inconsistent with det {det}"}
+                )
     if has_det_witness != has_index_one:
         problem = f"det witness {has_det_witness} but index-1 witness {has_index_one}"
         problems.append({"problem": problem})

@@ -105,6 +105,17 @@ class TestRF:
         assert code == 5
         assert "cap" in err
 
+    def test_cap_boundary(self, capsys):
+        # RF(18) of <5, 19, 21, 22, 23> holds 4 matrices: a cap of 3 refuses it, 4 lists it
+        gens = ["5", "19", "21", "22", "23"]
+        code, out, err = run_cli(capsys, "rf", *gens, "--pf", "18", "--max-rf", "3")
+        assert code == 5
+        assert "4 matrices" in err and "cap 3" in err
+        code, doc, _ = run_json(capsys, "rf", *gens, "--pf", "18", "--max-rf", "4")
+        assert code == 0
+        [block] = doc["payload"]["rf"]
+        assert block["count"] == 4 and len(block["matrices"]) == 4
+
     def test_zero_cap_is_legal(self, capsys):
         code, out, err = run_cli(capsys, "rf", "2", "5", "--max-rf", "0")
         assert code == 5

@@ -33,7 +33,7 @@ from arfrf.rfmatrix import (
     rf_row_choices,
 )
 from arfrf.semigroup import from_generators
-from arfrf.verifier import VerifyConfig, cofactor_determinant, parse_config_text
+from arfrf.verifier import VerifyConfig, cofactor_determinant, parse_config_text, random_semigroups
 
 from test_semigroup import gen_sets
 
@@ -252,12 +252,14 @@ def _recorded_check(sg):
 
 
 class TestSweepIndex:
-    """The Thm5.2 sweep reduces each row choice once and builds every
-    matrix's index from those coordinates; the per-matrix path is its oracle."""
+    """The Thm5.2 sweep reduces each later-row choice once per first-row choice
+    and takes every matrix's index from those coordinates; the per-matrix path
+    is its oracle."""
 
     @pytest.mark.parametrize("gens, row_choices, matrices", [
         ((4, 10, 21, 23), 8, 9),
         ((5, 19, 21, 22, 23), 7, 4),
+        ((5, 6, 9), 4, 2),  # not MED: row 1 of RF(13) has two choices
     ])
     def test_work_counts(self, gens, row_choices, matrices):
         sg = from_generators(gens)
@@ -266,7 +268,9 @@ class TestSweepIndex:
         assert rf_matrix_count(sg, sg.frobenius) == matrices
         problems, indices, coordinate_calls = _recorded_check(sg)
         assert problems == []
-        assert coordinate_calls == row_choices  # none inside the matrix loop
+        first = len(choices[0])
+        # each later-row choice once per first-row choice, none inside the matrix loop
+        assert coordinate_calls == first * (row_choices - first)
         assert len(indices) == matrices  # one traced lattice_index per RF matrix
 
     def test_matches_per_matrix_path_on_quick_grid(self):
@@ -283,6 +287,37 @@ class TestSweepIndex:
             assert indices == [_minor_checked_index(sg, m) for m in matrices]
             total += len(matrices)
         assert total == 1516
+
+    def test_matches_per_matrix_path_on_random_sets(self):
+        # every swept instance is MED, so its row 1 has one choice; these
+        # seeded generator sets reach several
+        sets = matrices = several_first_rows = 0
+        for gens in random_semigroups(300, seed=7):
+            sg = from_generators(gens)
+            if sg.frobenius < 1 or rf_matrix_count(sg, sg.frobenius) > 200:
+                continue
+            problems, indices, _ = _recorded_check(sg)
+            assert problems == []
+            V = kernel_lattice(sg)
+            rf = iter_rf_matrices(sg, sg.frobenius)
+            assert indices == [_index(first_row_differences(m), V) for m in rf]
+            sets += 1
+            matrices += len(indices)
+            several_first_rows += len(rf_row_choices(sg, sg.frobenius)[0]) > 1
+        assert (sets, matrices, several_first_rows) == (293, 1388, 19)
+
+    def test_problems_when_determinants_disagree(self, monkeypatch):
+        sg = from_generators((4, 10, 21, 23))
+        rf = list(iter_rf_matrices(sg, 19))
+        dets = [determinant(m) for m in rf]
+        assert dets == [-19, -38, -19, 0, -19, -19, 19, 0, -19]
+        monkeypatch.setattr(verifier, "determinant", lambda matrix: 0)
+        _, problems = verifier._check_index_vs_det(sg, None)
+        pointwise = [{"matrix": m, "problem": f"index {abs(d) // 19} inconsistent with det 0"}
+                     for m, d in zip(rf, dets) if d]
+        witness = {"problem": "det witness False but index-1 witness True"}
+        assert len(pointwise) == 7
+        assert problems == [*pointwise, witness]
 
 
 @st.composite

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arfrf import rfmatrix
-from arfrf.errors import NotPseudoFrobenius, TooManyMatrices
+from arfrf.errors import NotPseudoFrobenius
 from arfrf.factorization import count_factorizations, factorization_vectors
 from arfrf.rfmatrix import (
     check_sign_conjecture,
@@ -97,12 +97,6 @@ class TestEnumeration:
         message = f"{f} is not a pseudo-Frobenius number; PF = {list(pf)}"
         with pytest.raises(NotPseudoFrobenius, match=f"^{re.escape(message)}$"):
             rf_matrices(from_generators(gens), f)
-
-    def test_cap(self):
-        sg = from_generators([5, 19, 21, 22, 23])
-        with pytest.raises(TooManyMatrices):
-            rf_matrices(sg, 18, max_matrices=3)
-        assert len(rf_matrices(sg, 18, max_matrices=4)) == 4
 
 
 class TestRowCache:
