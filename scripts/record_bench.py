@@ -11,10 +11,16 @@ compared, and the first path that differs stops the recording with a non-zero
 exit. Every run lasts the ``run_seconds`` of that BENCHMARK.json; seeds 1..10
 give ten pairs per workload.
 
-Usage (from the repository root):
+Usage (from the repository root), with both sides fresh clones:
 
+    git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
+    git clone -q . ../change && git -C ../change checkout -q <change-sha>
     python3 scripts/record_bench.py --label factorization_order \\
-        --parent ../parent-checkout --change .
+        --parent ../parent --change ../change
+
+A working checkout is no stand-in for a clone: one holding test caches
+(``.hypothesis/``, ``.pytest_cache/``) once read cli-mix ``peak_rss_mb``
+0.19 MB above a fresh clone of the same commit.
 
 Runs take the order workload, then seed, and the side that goes first
 alternates from one pair to the next. A run that reads ``correct: false``

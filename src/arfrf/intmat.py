@@ -1,4 +1,5 @@
-"""Exact integer matrix primitives: Bareiss determinants, Hermite forms and
+"""Exact integer matrix primitives: Bareiss determinants, the determinants of
+a Cartesian product of row choices along its product tree, Hermite forms and
 coordinates in a Hermite basis.
 
 Everything here works on plain Python ints (arbitrary precision); no floats.
@@ -8,7 +9,7 @@ off one Hermite form.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -42,6 +43,59 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def product_determinants(row_lists: Sequence[Sequence[Sequence[int]]]) -> Iterator[int]:
+    """det(M) for each M of ``itertools.product(*row_lists)``, in that order.
+
+    Consecutive matrices share their row prefixes, so the walk goes down the
+    product tree depth first and carries the nonzero k x k minors of the k
+    rows chosen so far (their exterior product), keyed by the bitmask of
+    their columns. One Laplace step per minor and nonzero entry extends them
+    by a row (generalized Laplace expansion, Bourbaki, Algebra III section 8);
+    the last row only meets the cofactors of the full minor. A row whose
+    length is not ``len(row_lists)`` raises ValueError, as in
+    :func:`bareiss_determinant`.
+    """
+    n = len(row_lists)
+    sparse = []
+    for rows in row_lists:
+        for r in rows:
+            if len(r) != n:
+                raise ValueError("determinant needs a square matrix")
+        sparse.append([[(j, a) for j, a in enumerate(r) if a] for r in rows])
+    if n == 0:
+        return iter((1,))
+    return _walk(sparse, 0, {0: 1})
+
+
+def _walk(sparse: list, k: int, minors: dict[int, int]) -> Iterator[int]:
+    """Determinants below a depth-k node of the product tree whose nonzero
+    k x k minors are ``minors``; ``sparse`` holds each row choice as its
+    nonzero (column, entry) pairs.
+
+    e_mask ^ e_j = (-1)^s e_(mask | j) with s the number of columns of mask
+    after j, the parity of ``(mask >> j).bit_count()``.
+    """
+    n = len(sparse)
+    if k == n - 1:
+        full = (1 << n) - 1
+        cofactors = [0] * n
+        for mask, minor in minors.items():
+            j = (full ^ mask).bit_length() - 1
+            cofactors[j] = -minor if (n - 1 - j) & 1 else minor
+        for row in sparse[k]:
+            yield sum(a * cofactors[j] for j, a in row)
+        return
+    for row in sparse[k]:
+        extended: dict[int, int] = {}
+        for mask, minor in minors.items():
+            for j, a in row:
+                bit = 1 << j
+                if not mask & bit:
+                    term = -a * minor if (mask >> j).bit_count() & 1 else a * minor
+                    extended[mask | bit] = extended.get(mask | bit, 0) + term
+        yield from _walk(sparse, k + 1, {m: v for m, v in extended.items() if v})
 
 
 def hermite_normal_form(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tuple[int, ...], ...]:

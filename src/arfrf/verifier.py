@@ -41,6 +41,7 @@ from typing import Callable
 from . import families
 from .errors import GridTooLarge, UnknownClaim
 from .factorization import count_factorizations, factorization_vectors
+from .intmat import product_determinants
 from .lattice import is_generic, kernel_lattice, lattice_coordinates, lattice_index
 from .rfmatrix import (
     check_sign_conjecture,
@@ -449,7 +450,9 @@ def _check_zero_pairs(sg, spec):
 def _check_index_vs_det(sg, spec):
     V = kernel_lattice(sg)
     f = sg.frobenius
-    first_row, *later_rows = rf_rows(sg, f)
+    rows = rf_rows(sg, f)
+    first_row, *later_rows = rows
+    dets = product_determinants(rows)  # in product order, shared along row prefixes
     problems = []
     has_det_witness = has_index_one = False
     # Row 1 varies slowest, so a_1 - r is reduced once per choice a_1 and later-row
@@ -459,7 +462,7 @@ def _check_index_vs_det(sg, spec):
                         for row in later_rows]
         for rest, coords in zip(product(*later_rows), product(*later_coords)):
             matrix = (first, *rest)
-            det = determinant(matrix)
+            det = next(dets)
             idx = lattice_index(coords)
             has_det_witness |= abs(det) == f
             has_index_one |= idx == 1

@@ -1,4 +1,6 @@
-from itertools import combinations
+import gc
+import weakref
+from itertools import combinations, product
 from math import gcd
 from functools import reduce
 from pathlib import Path
@@ -10,7 +12,12 @@ from hypothesis import strategies as st
 import arfrf.lattice
 from arfrf import verifier
 from arfrf.errors import DimensionMismatch, NotSublattice
-from arfrf.intmat import bareiss_determinant, hermite_normal_form, hnf_coordinates
+from arfrf.intmat import (
+    bareiss_determinant,
+    hermite_normal_form,
+    hnf_coordinates,
+    product_determinants,
+)
 from arfrf.lattice import (
     binomial_from_vector,
     degree,
@@ -232,9 +239,10 @@ class TestLatticeIndex:
 
 
 def _recorded_check(sg):
-    """Run the Thm5.2 check on ``sg`` with its index and coordinate calls
-    recorded; returns (problems, index of each RF(F) matrix, coordinate calls)."""
-    indices, vectors = [], []
+    """Run the Thm5.2 check on ``sg`` with its index, coordinate and
+    determinant calls recorded; returns (problems, index of each RF(F)
+    matrix, coordinate calls, determinant of each RF(F) matrix)."""
+    indices, vectors, dets = [], [], []
 
     def recorded_index(coords):
         indices.append(lattice_index(coords))
@@ -244,16 +252,23 @@ def _recorded_check(sg):
         vectors.append(vector)
         return hnf_coordinates(basis, vector)
 
+    def recorded_determinants(row_lists):
+        for det in product_determinants(row_lists):
+            dets.append(det)
+            yield det
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "lattice_index", recorded_index)
         mp.setattr(arfrf.lattice, "hnf_coordinates", counted_coordinates)
+        mp.setattr(verifier, "product_determinants", recorded_determinants)
         _, problems = verifier._check_index_vs_det(sg, None)
-    return problems, indices, len(vectors)
+    return problems, indices, len(vectors), dets
 
 
 class TestSweepIndex:
     """The Thm5.2 sweep reduces each later-row choice once per first-row choice
-    and takes every matrix's index from those coordinates; the per-matrix path
+    and takes every matrix's index from those coordinates, and its determinants
+    from the product tree; the per-matrix path (Bareiss for the determinant)
     is its oracle."""
 
     @pytest.mark.parametrize("gens, row_choices, matrices", [
@@ -266,22 +281,25 @@ class TestSweepIndex:
         choices = rf_row_choices(sg, sg.frobenius)
         assert sum(map(len, choices)) == row_choices
         assert rf_matrix_count(sg, sg.frobenius) == matrices
-        problems, indices, coordinate_calls = _recorded_check(sg)
+        problems, indices, coordinate_calls, dets = _recorded_check(sg)
         assert problems == []
         first = len(choices[0])
         # each later-row choice once per first-row choice, none inside the matrix loop
         assert coordinate_calls == first * (row_choices - first)
         assert len(indices) == matrices  # one traced lattice_index per RF matrix
+        assert len(dets) == matrices
 
     def test_matches_per_matrix_path_on_quick_grid(self):
         config = VerifyConfig(**parse_config_text(QUICK_CFG.read_text()))
         sources = verifier._sources(verifier.CLAIMS["Thm5.2-equiv"].grid(config))
         total = 0
         for _, sg, _, _ in verifier._instances(config, sources):
-            problems, indices, _ = _recorded_check(sg)
+            problems, indices, _, dets = _recorded_check(sg)
             assert problems == []
             V = kernel_lattice(sg)
             matrices = list(iter_rf_matrices(sg, sg.frobenius))
+            # Bareiss per matrix stays the oracle of the product-tree determinants
+            assert dets == [determinant(m) for m in matrices]
             assert indices == [_index(first_row_differences(m), V) for m in matrices]
             # the cofactor minors of the first-row differences agree as well
             assert indices == [_minor_checked_index(sg, m) for m in matrices]
@@ -296,7 +314,7 @@ class TestSweepIndex:
             sg = from_generators(gens)
             if sg.frobenius < 1 or rf_matrix_count(sg, sg.frobenius) > 200:
                 continue
-            problems, indices, _ = _recorded_check(sg)
+            problems, indices, _, _ = _recorded_check(sg)
             assert problems == []
             V = kernel_lattice(sg)
             rf = iter_rf_matrices(sg, sg.frobenius)
@@ -311,7 +329,11 @@ class TestSweepIndex:
         rf = list(iter_rf_matrices(sg, 19))
         dets = [determinant(m) for m in rf]
         assert dets == [-19, -38, -19, 0, -19, -19, 19, 0, -19]
-        monkeypatch.setattr(verifier, "determinant", lambda matrix: 0)
+        def zeros(row_lists):  # one 0 per matrix of the product
+            for _ in product(*row_lists):
+                yield 0
+
+        monkeypatch.setattr(verifier, "product_determinants", zeros)
         _, problems = verifier._check_index_vs_det(sg, None)
         pointwise = [{"matrix": m, "problem": f"index {abs(d) // 19} inconsistent with det 0"}
                      for m, d in zip(rf, dets) if d]
@@ -408,6 +430,55 @@ class TestHnfCoordinates:
         if coords is not None:
             assert len(coords) == len(basis)
             assert [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(dim)] == vector
+
+
+@st.composite
+def _row_lists(draw):
+    """Row lists of an n x n product: 1-3 sparse choices for each row."""
+    n = draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    row = st.lists(entry, min_size=n, max_size=n)
+    return draw(st.lists(st.lists(row, min_size=1, max_size=3), min_size=n, max_size=n))
+
+
+class TestProductDeterminants:
+    @given(_row_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_against_bareiss_in_product_order(self, row_lists):
+        expected = [bareiss_determinant(m) for m in product(*row_lists)]
+        assert list(product_determinants(row_lists)) == expected
+
+    def test_edge_cases(self):
+        assert list(product_determinants([])) == [1]
+        assert list(product_determinants([[[1, 0]], []])) == []
+        assert list(product_determinants([[[0, 0], [1, 2]], [[0, 0]]])) == [0, 0]
+        assert list(product_determinants([[[-5]]])) == [-5]
+        assert list(product_determinants([[[2], [3]]])) == [2, 3]
+
+    @pytest.mark.parametrize("row_lists", [
+        [[[1, 0]], [[0, 1, 0]]],
+        [[[1]], [[0]]],
+        [[[1, 2]]],
+    ])
+    def test_not_square(self, row_lists):
+        with pytest.raises(ValueError):
+            product_determinants(row_lists)
+
+    def test_half_consumed_walk_holds_nothing(self):
+        class Rows(list):  # a list that takes weak references
+            pass
+
+        rows = Rows([[1, 0, 2], [0, 1, 1]])
+        dets = product_determinants([rows, [[0, 1, 0], [1, 1, 1]], [[0, 0, 1], [1, 0, 0]]])
+        assert next(dets) == 1
+        refs = weakref.ref(rows), weakref.ref(dets)
+        gc.disable()
+        try:
+            del rows, dets
+            # no reference cycle: both go without the cyclic collector
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 def _minor_checked_index(sg, matrix):
