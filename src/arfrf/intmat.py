@@ -74,8 +74,8 @@ def _walk(sparse: list, k: int, minors: dict[int, int]) -> Iterator[int]:
     k x k minors are ``minors``; ``sparse`` holds each row choice as its
     nonzero (column, entry) pairs.
 
-    e_mask ^ e_j = (-1)^s e_(mask | j) with s the number of columns of mask
-    after j, the parity of ``(mask >> j).bit_count()``.
+    The wedge of e_mask with e_j is (-1)^s e_(mask | j), where s, the number
+    of columns of mask after j, has the parity of ``(mask >> j).bit_count()``.
     """
     n = len(sparse)
     if k == n - 1:
