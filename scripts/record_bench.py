@@ -20,7 +20,11 @@ Usage (from the repository root), with both sides fresh clones:
 
 A working checkout is no stand-in for a clone: one holding test caches
 (``.hypothesis/``, ``.pytest_cache/``) once read cli-mix ``peak_rss_mb``
-0.19 MB above a fresh clone of the same commit.
+0.19 MB above a fresh clone of the same commit. So a side whose checkout
+holds one of ``TEST_CACHES`` stops the recording, before the first run,
+with a non-zero exit that names the directory. The ``machine`` block
+records ``PYTHONDONTWRITEBYTECODE``: when it is set, every benchmark child
+compiles arfrf afresh, and cli-mix ``peak_rss_mb`` grows with the source.
 
 Runs take the order workload, then seed, and the side that goes first
 alternates from one pair to the next. A run that reads ``correct: false``
@@ -51,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sweep-enum", "sweep-lattice", "cli-mix")
 SEEDS = tuple(range(1, 11))
+TEST_CACHES = (".hypothesis", ".pytest_cache", ".benchmarks")
 
 
 def git_sha(checkout: Path) -> str | None:
@@ -80,6 +85,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "mem_total_mb": mem_mb,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
@@ -97,6 +103,15 @@ def require_same_benchmark(sides: dict[str, Path]) -> None:
         a, b = parent / rel, change / rel
         if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
             raise SystemExit(f"the checkouts hold different benchmarks: {rel} differs; nothing run")
+
+
+def require_no_test_caches(sides: dict[str, Path]) -> None:
+    """Stop at the first side whose checkout holds a test cache directory."""
+    for side, checkout in sides.items():
+        for name in TEST_CACHES:
+            if (checkout / name).is_dir():
+                raise SystemExit(f"the {side} checkout {checkout} holds {name}/; "
+                                 "record from fresh clones; nothing run")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -173,6 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     require_same_benchmark(sides)
+    require_no_test_caches(sides)
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     runs = []

@@ -22,9 +22,9 @@ up as a ``formula_only`` mismatch in the verifier rather than be hidden.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InvalidFamily, NotPseudoFrobenius
 from .rfmatrix import Matrix
@@ -36,8 +36,7 @@ def _need(cond: bool, message: str) -> None:
         raise InvalidFamily(message)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", ("variant", "s", "k", "m"))):
     """Selects one family instance: variant tag, conductor s, optional k and m.
 
     ``k`` is required by the m=4 variants carrying a 4k+2 generator; ``m`` is
@@ -47,34 +46,34 @@ class FamilySpec:
     construction: an illegal one raises ``InvalidFamily``.
     """
 
-    variant: str
-    s: int
-    k: int | None = None
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v, s, k, m = self.variant, self.s, self.k, self.m
-        if v == "med":
+    def __new__(cls, variant: str, s: int, k: int | None = None, m: int | None = None):
+        if variant == "med":
             _need(m is not None and m >= 2, "med variant needs a multiplicity m >= 2")
             _need(s >= m and s % m == 0,
                   f"med variant needs s >= m and s % m == 0, got s={s}, m={m}")
             _need(k is None, "med variant takes no k")
-            return
-        row = VARIANTS.get(v)
+            return super().__new__(cls, variant, s, k, m)
+        row = VARIANTS.get(variant)
         if row is None:
-            raise InvalidFamily(f"unknown family variant {v!r}")
-        _need(m in (None, row.m), f"variant {v} has multiplicity {row.m}, got m={m}")
+            raise InvalidFamily(f"unknown family variant {variant!r}")
+        _need(m in (None, row.m), f"variant {variant} has multiplicity {row.m}, got m={m}")
         _need(
             s >= row.least_s and s % row.m == row.residue,
-            f"{v} needs s >= {row.least_s} with s % {row.m} == {row.residue}, got s={s}",
+            f"{variant} needs s >= {row.least_s} with s % {row.m} == {row.residue}, got s={s}",
         )
         if row.k_max is None:
-            _need(k is None, f"variant {v} takes no k")
+            _need(k is None, f"variant {variant} takes no k")
         else:
             k_max = row.k_max(s)
             _need(k is not None and 1 <= k <= k_max,
-                  f"{v} needs 1 <= k <= {k_max}, got k={k}, s={s}")
-        object.__setattr__(self, "m", row.m)
+                  f"{variant} needs 1 <= k <= {k_max}, got k={k}, s={s}")
+        return super().__new__(cls, variant, s, k, row.m)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +565,7 @@ def _m5_4b(s, k):
 # the variant table
 
 
-@dataclass(frozen=True, slots=True)
-class Variant:
+class Variant(NamedTuple):
     """One multiplicity <= 5 variant as tabulated.
 
     Legal conductors are s >= ``least_s`` with s % ``m`` == ``residue``; the

@@ -15,9 +15,8 @@ relations read only its rows, so they take no semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSublattice
 from .intmat import bareiss_determinant, hermite_normal_form, hnf_coordinates
@@ -117,8 +116,7 @@ def rf_relations(matrix: Matrix) -> list[Binomial]:
     return [binomial_from_vector(d) for d in row_differences(matrix)]
 
 
-@dataclass(frozen=True, slots=True)
-class GenericityReport:
+class GenericityReport(NamedTuple):
     """Verdict of the RF-matrix genericity criterion with a re-checkable witness.
 
     ``generic`` is true iff every pseudo-Frobenius number has exactly one RF

@@ -4,39 +4,78 @@ A semigroup is built once from a generator set, in O(m e) for multiplicity m
 and e input generators: one round-robin pass gives the Apéry table modulo m
 and the minimal system. After that an instance is immutable but for one
 write-once cache, where ``rfmatrix.rf_rows`` keeps RF(f)'s row lists for as
-long as the instance lives. Queries are pure and a cache entry is stored whole
-and never changed, so instances can be shared freely across threads: a race
-on one f at worst builds equal lists twice. Membership is one table lookup,
-the pseudo-Frobenius test is e of them, and PF(S) tests the m Apéry
-candidates. The Arf test and the Arf closure both read the multiplicity
-sequence.
+long as the instance lives. Queries are pure; a cache entry is stored whole
+and never changed, and its lists are shared, so no reader may change them.
+A copy or an unpickled instance starts with an empty cache. Membership is
+one table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests
+the m Apéry candidates. The Arf test and the Arf closure both read the
+multiplicity sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
 from .errors import NotNumerical
 
 
-@dataclass(frozen=True, slots=True)
+_FIELDS = ("generators", "multiplicity", "embedding_dimension", "frobenius", "conductor",
+           "apery_table")
+
+
 class NumericalSemigroup:
     """A numerical semigroup with its cached invariants.
 
     ``apery_table[i]`` is the least element congruent to i modulo the
     multiplicity; every membership question reduces to one table lookup.
+    Equality and hash read ``generators`` only; the repr shows the five
+    fields before ``apery_table``. Assigning or deleting an attribute raises
+    AttributeError.
     """
 
+    __slots__ = (*_FIELDS, "rf_row_cache")
+
     generators: tuple[int, ...]
-    multiplicity: int = field(compare=False)
-    embedding_dimension: int = field(compare=False)
-    frobenius: int = field(compare=False)
-    conductor: int = field(compare=False)
-    apery_table: tuple[int, ...] = field(compare=False, repr=False)
+    multiplicity: int
+    embedding_dimension: int
+    frobenius: int
+    conductor: int
+    apery_table: tuple[int, ...]
     # f -> RF(f)'s row lists, filled by rfmatrix.rf_rows; outside equality, hash and repr
-    rf_row_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    rf_row_cache: dict
+
+    def __init__(self, generators, multiplicity, embedding_dimension, frobenius, conductor,
+                 apery_table) -> None:
+        init = object.__setattr__
+        init(self, "generators", generators)
+        init(self, "multiplicity", multiplicity)
+        init(self, "embedding_dimension", embedding_dimension)
+        init(self, "frobenius", frobenius)
+        init(self, "conductor", conductor)
+        init(self, "apery_table", apery_table)
+        init(self, "rf_row_cache", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.generators == other.generators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.generators)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS[:-1])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in _FIELDS)
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.generators)) + ">"

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, fields
+from collections import namedtuple
 from functools import reduce
 from importlib import resources
 from itertools import islice, product
 from math import gcd, prod
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import families
 from .errors import GridTooLarge, UnknownClaim
@@ -154,20 +154,21 @@ _BOUNDS = {"s_max": (1, 1_000), "med_s_factor": (1, None), "med_m_min": (2, None
            "med_m_max": (None, 16), "closure_samples": (0, 1_000), "oracle_samples": (0, 100_000)}
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyConfig:
-    """Grid bounds and seeds for the claim sweeps."""
+# field: default, in field order
+_CONFIG_DEFAULTS = {"s_max": 200, "med_m_min": 6, "med_m_max": 10, "med_s_factor": 10,
+                    "closure_samples": 100, "oracle_samples": 1000, "seed": DEFAULT_SEED,
+                    "fixtures_path": None}
 
-    s_max: int = 200
-    med_m_min: int = 6
-    med_m_max: int = 10
-    med_s_factor: int = 10
-    closure_samples: int = 100
-    oracle_samples: int = 1000
-    seed: int = DEFAULT_SEED
-    fixtures_path: str | None = None
 
-    def __post_init__(self) -> None:
+class VerifyConfig(namedtuple("VerifyConfig", _CONFIG_DEFAULTS,
+                              defaults=_CONFIG_DEFAULTS.values())):
+    """Grid bounds and seeds for the claim sweeps, checked against ``_BOUNDS``
+    on construction. Every field but ``fixtures_path`` is an integer."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, (least, _) in _BOUNDS.items():
             if least is not None and getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}; got {getattr(self, name)}")
@@ -175,9 +176,14 @@ class VerifyConfig:
             if most is not None and getattr(self, name) > most:
                 cap = "grid cap" if name == "s_max" else "the cap"
                 raise GridTooLarge(f"{name} {getattr(self, name)} exceeds {cap} {most}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the bounds too
+        return cls(*iterable)
 
 
-_CONFIG_INT_KEYS = {f.name for f in fields(VerifyConfig) if f.type == "int"}
+_CONFIG_INT_KEYS = set(VerifyConfig._fields) - {"fixtures_path"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -234,19 +240,25 @@ def _fixture_covers(fixture: dict, mismatch: dict) -> bool:
 # reports
 
 
-@dataclass(slots=True)
 class ClaimReport:
-    claim_id: str
-    description: str
-    grid: dict
-    status: str = "pass"
-    checked: int = 0
-    mismatches: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """One claim's outcome, filled in by the sweep; ``to_dict`` gives the
+    fields in the order of ``__slots__``."""
+
+    __slots__ = ("claim_id", "description", "grid", "status", "checked", "mismatches",
+                 "counterexamples", "notes")
+
+    def __init__(self, claim_id: str, description: str, grid: dict) -> None:
+        self.claim_id = claim_id
+        self.description = description
+        self.grid = grid
+        self.status = "pass"
+        self.checked = 0
+        self.mismatches: list = []
+        self.counterexamples: list = []
+        self.notes: list = []
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def aggregate_ok(reports) -> bool:
@@ -543,8 +555,7 @@ def _check_oracles(sg, spec):
 # the claim table and the sweep engine
 
 
-@dataclass(frozen=True, slots=True)
-class Claim:
+class Claim(NamedTuple):
     """One row of the claim table: its grid, which names what it sweeps, and its check."""
 
     description: str

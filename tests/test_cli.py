@@ -505,6 +505,16 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.stderr == ""
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every arfrf command is a fresh interpreter, and dataclasses brings inspect,
+    # ast, dis and tokenize with it; count only what importing arfrf.cli adds
+    code = ("import sys; before = set(sys.modules); import arfrf.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def _run_child_measured(argv, timeout=30.0, address_space=1 << 30):
     """Run the CLI in a child process capped at ``address_space`` bytes.
 

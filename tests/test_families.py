@@ -50,6 +50,25 @@ class TestBuild:
             FamilySpec("med", s=24)
         assert FamilySpec("m4_0k", s=20, k=2).m == 4
 
+    def test_spec_repr_and_construction(self):
+        spec = FamilySpec("m4_0k", s=20, k=2)
+        assert repr(spec) == "FamilySpec(variant='m4_0k', s=20, k=2, m=4)"
+        assert FamilySpec("m4_0k", 20, 2) == spec == FamilySpec(variant="m4_0k", s=20, k=2, m=4)
+        assert repr(FamilySpec("m2", 4)) == "FamilySpec(variant='m2', s=4, k=None, m=2)"
+        assert repr(FamilySpec("med", 24, None, 6)) == "FamilySpec(variant='med', s=24, k=None, m=6)"
+
+    def test_spec_is_immutable(self):
+        spec = FamilySpec("m2", s=4)
+        for name in ("variant", "s", "k", "m"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 6)
+        assert spec == FamilySpec("m2", s=4)
+
+    def test_replace_validates(self):
+        assert FamilySpec("m2", s=4)._replace(s=6) == FamilySpec("m2", s=6)
+        with pytest.raises(InvalidFamily, match="s % 2"):
+            FamilySpec("m2", s=4)._replace(s=5)
+
     def test_postconditions_over_sweep(self):
         for variant in M_LE_5_VARIANTS:
             for spec in family_instances(variant, 48):

@@ -22,40 +22,14 @@ def _outcome(correct=True, failed=0):
             "metrics": {"norm_wall_s": {"value": 1.0, "unit": "s"}}}
 
 
-@pytest.mark.parametrize("bad", [_outcome(correct=False), _outcome(failed=2)])
-def test_incorrect_run_stops_the_recording(record_bench, monkeypatch, tmp_path, bad):
-    runs = []
-
-    def fake_run_once(checkout, workload, seed, seconds):
-        runs.append((workload, seed))
-        return bad if len(runs) == 3 else _outcome()
-
-    monkeypatch.setattr(record_bench, "run_once", fake_run_once)
-    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
-    with pytest.raises(SystemExit) as stop:
-        record_bench.main(["--label", "x", "--parent", str(ROOT), "--change", str(ROOT)])
-    # the third run is seed 2 of the first workload, and that pair starts with the change
-    message = str(stop.value.code)
-    assert message.startswith("sweep-enum seed 2 (change):")
-    assert len(runs) == 3
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_correct_runs_are_recorded(record_bench, monkeypatch, tmp_path):
-    monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
-    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
-    assert record_bench.main(["--label", "x", "--parent", str(ROOT), "--change", str(ROOT)]) == 0
-    assert (tmp_path / "BENCH_x.json").is_file()
-
-
-
 def _checkouts(tmp_path, monkeypatch, record_bench):
-    """Two checkouts holding the same small benchmark, and the argv that pairs them."""
+    """Two checkouts holding this repository's BENCHMARK.json and a stub
+    perfbench/run.py, with no test caches, and the argv that pairs them."""
     sides = []
     for name in ("parent", "change"):
         root = tmp_path / name
         (root / "perfbench" / "__pycache__").mkdir(parents=True)
-        (root / "BENCHMARK.json").write_text('{"run_seconds": 1}\n')
+        (root / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
         (root / "perfbench" / "run.py").write_text("print()\n")
         sides.append(root)
     out = tmp_path / "out"
@@ -79,6 +53,60 @@ def test_different_benchmarks_stop_before_any_run(record_bench, monkeypatch, tmp
     assert f"{path} differs" in str(stop.value.code)
     assert runs == []
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [_outcome(correct=False), _outcome(failed=2)])
+def test_incorrect_run_stops_the_recording(record_bench, monkeypatch, tmp_path, bad):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    runs = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        runs.append((workload, seed))
+        return bad if len(runs) == 3 else _outcome()
+
+    monkeypatch.setattr(record_bench, "run_once", fake_run_once)
+    with pytest.raises(SystemExit) as stop:
+        record_bench.main(argv)
+    # the third run is seed 2 of the first workload, and that pair starts with the change
+    message = str(stop.value.code)
+    assert message.startswith("sweep-enum seed 2 (change):")
+    assert len(runs) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_correct_runs_are_recorded(record_bench, monkeypatch, tmp_path):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
+    assert record_bench.main(argv) == 0
+    assert (out / "BENCH_x.json").is_file()
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("cache", [".hypothesis", ".pytest_cache", ".benchmarks"])
+def test_test_caches_stop_before_any_run(record_bench, monkeypatch, tmp_path, side, cache):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    (tmp_path / side / cache).mkdir()
+    runs = []
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: runs.append(args) or _outcome())
+    with pytest.raises(SystemExit) as stop:
+        record_bench.main(argv)
+    assert f"the {side} checkout" in str(stop.value.code)
+    assert f"holds {cache}/" in str(stop.value.code)
+    assert runs == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_machine_records_bytecode_setting(record_bench, monkeypatch, tmp_path, value):
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
+    record_bench.main(argv)
+    record = json.loads((out / "BENCH_x.json").read_text())
+    assert record["machine"]["PYTHONDONTWRITEBYTECODE"] == value
 
 
 def test_bytecode_caches_are_not_compared(record_bench, monkeypatch, tmp_path):
@@ -135,10 +163,10 @@ def test_wide_parent_spread_reads_its_interquartile_range(record_bench):
 
 
 def test_recording_prints_one_verdict_line_per_metric(record_bench, monkeypatch, tmp_path, capsys):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
     monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
-    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
-    record_bench.main(["--label", "x", "--parent", str(ROOT), "--change", str(ROOT)])
-    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    record_bench.main(argv)
+    record = json.loads((out / "BENCH_x.json").read_text())
     # the fake runs read norm_wall_s only, so each workload gets that one verdict
     assert {w: list(v) for w, v in record["verdicts"].items()} == {
         w: ["norm_wall_s"] for w in record_bench.WORKLOADS}

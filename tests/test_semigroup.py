@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import reduce
 from math import gcd
@@ -83,6 +85,46 @@ class TestConstruction:
             from_generators([0, 3])
         with pytest.raises(ValueError):
             from_generators([])
+
+
+class TestRecordSemantics:
+    SG = from_generators([5, 19, 21, 22, 23])
+
+    def test_repr_shows_five_fields(self):
+        assert repr(self.SG) == (
+            "NumericalSemigroup(generators=(5, 19, 21, 22, 23), multiplicity=5, "
+            "embedding_dimension=5, frobenius=18, conductor=19)"
+        )
+
+    def test_equality_and_hash_read_generators_only(self):
+        same = from_generators([23, 22, 21, 19, 5, 24])
+        assert same == self.SG and hash(same) == hash(self.SG)
+        assert self.SG != from_generators([5, 19, 21, 22])
+        assert self.SG != self.SG.generators
+        assert len({self.SG, same}) == 1
+
+    def test_row_cache_outside_equality_and_hash(self):
+        sg, fresh = from_generators([5, 19, 21, 22, 23]), from_generators([5, 19, 21, 22, 23])
+        sg.rf_row_cache[18] = ["rows"]
+        assert sg == fresh and hash(sg) == hash(fresh) and repr(sg) == repr(fresh)
+        assert fresh.rf_row_cache == {}
+
+    @pytest.mark.parametrize("name", ["generators", "frobenius", "apery_table", "rf_row_cache"])
+    def test_assignment_and_deletion_raise(self, name):
+        sg = from_generators([5, 19, 21, 22, 23])
+        with pytest.raises(AttributeError):
+            setattr(sg, name, ())
+        with pytest.raises(AttributeError):
+            delattr(sg, name)
+        assert sg == self.SG and repr(sg) == repr(self.SG)
+
+    @pytest.mark.parametrize("clone", [lambda sg: pickle.loads(pickle.dumps(sg)), copy.copy,
+                                       copy.deepcopy])
+    def test_pickle_and_copy_round_trips(self, clone):
+        twin = clone(self.SG)
+        assert twin == self.SG and repr(twin) == repr(self.SG)
+        assert twin.apery_table == self.SG.apery_table
+        assert twin.pseudo_frobenius() == self.SG.pseudo_frobenius()
 
 
 class TestMembership:

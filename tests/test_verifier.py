@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import sys
@@ -136,6 +135,40 @@ class TestClaims:
         with pytest.raises(GridTooLarge):
             VerifyConfig(closure_samples=2000)
 
+    def test_config_repr_and_construction(self):
+        assert repr(VerifyConfig()) == (
+            "VerifyConfig(s_max=200, med_m_min=6, med_m_max=10, med_s_factor=10, "
+            "closure_samples=100, oracle_samples=1000, seed=1729, fixtures_path=None)"
+        )
+        assert VerifyConfig(36, 6, 7, 10, 8, 30) == QUICK
+        assert (QUICK.s_max, QUICK.med_m_min, QUICK.seed, QUICK.fixtures_path) == (
+            36, 6, verifier.DEFAULT_SEED, None)
+        assert verifier._CONFIG_INT_KEYS == {
+            "s_max", "med_m_min", "med_m_max", "med_s_factor", "closure_samples",
+            "oracle_samples", "seed"}
+        with pytest.raises(ValueError, match="s_max must be at least 1; got 0"):
+            VerifyConfig(0)
+        with pytest.raises(TypeError):
+            VerifyConfig(claims=None)
+
+    def test_config_is_immutable(self):
+        for name in ("s_max", "seed", "fixtures_path"):
+            with pytest.raises(AttributeError):
+                setattr(QUICK, name, 1)
+        assert QUICK.s_max == 36
+
+    def test_config_replace_checks_bounds(self):
+        assert QUICK._replace(seed=7).seed == 7
+        with pytest.raises(GridTooLarge):
+            QUICK._replace(s_max=5000)
+
+    def test_report_dict_keys_in_field_order(self):
+        [report] = verify_all(QUICK, ["Prop3.1"])
+        assert list(report.to_dict()) == [
+            "claim_id", "description", "grid", "status", "checked", "mismatches",
+            "counterexamples", "notes"]
+        assert report.to_dict()["claim_id"] == "Prop3.1"
+
     def test_unknown_claim_fails_before_any_sweep(self, monkeypatch):
         def no_build(spec):
             raise AssertionError("built an instance before the claim list was checked")
@@ -204,7 +237,7 @@ class TestClaims:
 
         ids = ["Prop3.1", "Prop3.4", "Lemma4.1", "Remark4.4", "OracleAgreement"]
         for cid in ids:
-            monkeypatch.setitem(CLAIMS, cid, dataclasses.replace(CLAIMS[cid], check=fail))
+            monkeypatch.setitem(CLAIMS, cid, CLAIMS[cid]._replace(check=fail))
         tiny = VerifyConfig(s_max=8, med_m_max=6, med_s_factor=1, closure_samples=1,
                             oracle_samples=1)
         m2, m4_0k, med, remark, oracle = (r.counterexamples for r in verify_all(tiny, ids))
@@ -255,7 +288,7 @@ class TestClaims:
                 calls.append((v, s, k))
                 return build(s, k)
 
-            monkeypatch.setitem(families.VARIANTS, v, dataclasses.replace(row, rf_table=counted))
+            monkeypatch.setitem(families.VARIANTS, v, row._replace(rf_table=counted))
         verify_claim("Props3.1-3.12", QUICK)
         assert calls == [
             (v, spec.s, spec.k)
