@@ -45,4 +45,5 @@ class TooManyMatrices(ArfrfError):
     """RF enumeration would exceed the caller-imposed cap."""
 
     def __init__(self, count, cap):
-        super().__init__(f"enumeration would produce {count} matrices, above the cap {cap}")
+        noun = "matrix" if count == 1 else "matrices"
+        super().__init__(f"enumeration would produce {count} {noun}, above the cap {cap}")

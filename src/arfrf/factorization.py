@@ -1,15 +1,32 @@
 """Enumerating representations of an integer over a tuple of generators.
 
-The enumerator is a pruned depth-first search that takes the generators by
-decreasing value; its companion counter is an independent coin-counting
-dynamic program used to cross-check it.
+The enumerator loops over the multiples of every generator but the two
+smallest, and solves those two as a linear congruence, so each remainder
+that has a solution yields its vectors with no failed trial. Its companion
+counter is an independent coin-counting dynamic program used to cross-check
+it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from math import gcd
+from typing import Iterator, Sequence
 
 from .semigroup import NumericalSemigroup
+
+
+def _remainders(gens: Sequence[int], order: list[int], rem: int, coeffs: list[int]) -> Iterator[int]:
+    """Write each choice of the coefficients at ``order`` into ``coeffs``,
+    first generator outermost and largest multiple first, and yield what is
+    left of ``rem``."""
+    idx, *rest = order
+    g = gens[idx]
+    for c in range(rem // g, -1, -1):
+        coeffs[idx] = c
+        if rest:
+            yield from _remainders(gens, rest, rem - c * g, coeffs)
+        else:
+            yield rem - c * g
 
 
 def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ...]]:
@@ -19,34 +36,36 @@ def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ..
     generators but one). The list is complete, duplicate-free and ordered by
     lexicographically decreasing coefficients in the order of ``gens``.
 
-    The search takes the largest generator outermost, trying its largest
-    multiple first, so the tree is narrowest at the top; the smallest
-    generator, which has the most multiples, closes the last coefficient by
-    ``divmod``. Each coefficient is written at its index in ``gens``, and the
-    final sort gives the output order, whatever the search order.
+    The search loops over the larger generators, the largest outermost. For
+    the two smallest, a >= b with d = gcd(a, b), a remainder r has a solution
+    only if d | r, and then c_a * a + c_b * b == r exactly when c_a is
+    (r/d) * (a/d)^-1 mod b/d. So c_a steps down by b/d from its largest such
+    value, c_b steps up by a/d, and every step is an output. Each coefficient
+    is written at its index in ``gens``, and the final sort gives the output
+    order, whatever the search order.
     """
     if value < 0:
         raise ValueError(f"cannot factor a negative value: {value}")
-    *outer, last = sorted(range(len(gens)), key=gens.__getitem__, reverse=True)
-    smallest = gens[last]
-    depth_last = len(outer)
+    if len(gens) == 1:
+        q, r = divmod(value, gens[0])
+        return [] if r else [(q,)]
+    *outer, ia, ib = sorted(range(len(gens)), key=gens.__getitem__, reverse=True)
+    a, b = gens[ia], gens[ib]
+    d = gcd(a, b)
+    step, up = b // d, a // d
+    inv = pow(up, -1, step)  # 0 when step == 1
     out: list[tuple[int, ...]] = []
     coeffs = [0] * len(gens)
-
-    def descend(depth: int, rem: int) -> None:
-        if depth == depth_last:
-            q, r = divmod(rem, smallest)
-            if r == 0:
-                coeffs[last] = q
+    for rem in _remainders(gens, outer, value, coeffs) if outer else (value,):
+        if rem % d == 0:
+            ca = rem // a
+            ca -= (ca - rem // d * inv) % step
+            cb = (rem - ca * a) // b
+            for ca in range(ca, -1, -step):
+                coeffs[ia] = ca
+                coeffs[ib] = cb
                 out.append(tuple(coeffs))
-            return
-        idx = outer[depth]
-        g = gens[idx]
-        for c in range(rem // g, -1, -1):
-            coeffs[idx] = c
-            descend(depth + 1, rem - c * g)
-
-    descend(0, value)
+                cb += up
     out.sort(reverse=True)
     return out
 
