@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import itertools
 import json
 import os
@@ -363,6 +364,10 @@ def cmd_verify(args, argv) -> int:
     except (OSError, UnknownClaim, GridTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    # a run leaves a few reference cycles (argparse's, the JSON encoders') and
+    # the walk none, so many runs in one process may pass with no full
+    # collection between them: collect them here
+    gc.collect()
     lines = [f"{r.claim_id:20s} {r.status:24s} checked={r.checked}" for r in reports]
     lines.append(f"reports written to {report_dir}")
     lines.append("result: " + ("ok" if ok else "FAIL"))
