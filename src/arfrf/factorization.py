@@ -38,11 +38,12 @@ def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ..
 
     The search loops over the larger generators, the largest outermost. For
     the two smallest, a >= b with d = gcd(a, b), a remainder r has a solution
-    only if d | r, and then c_a * a + c_b * b == r exactly when c_a is
-    (r/d) * (a/d)^-1 mod b/d. So c_a steps down by b/d from its largest such
-    value, c_b steps up by a/d, and every step is an output. Each coefficient
-    is written at its index in ``gens``, and the final sort gives the output
-    order, whatever the search order.
+    only if d | r; then a c_a in 0..r // a has a c_b >= 0 with
+    c_a * a + c_b * b == r exactly when c_a == (r/d) * (a/d)^-1 mod b/d. So
+    c_a steps down by b/d from its largest such value, c_b steps up by a/d,
+    and every step is an output. Each coefficient is written at its index in
+    ``gens``, and the final sort gives the output order, whatever the search
+    order.
     """
     if value < 0:
         raise ValueError(f"cannot factor a negative value: {value}")

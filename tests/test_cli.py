@@ -121,12 +121,6 @@ class TestRF:
         assert code == 5
         assert "cap 0" in err
 
-    def test_cap_message_singular_for_one_matrix(self, capsys):
-        # RF(F) of <3, 4, 5> holds one matrix
-        code, out, err = run_cli(capsys, "relations", "3", "4", "5", "--max-rf", "0")
-        assert code == 5 and out == ""
-        assert err == "error: enumeration would produce 1 matrix, above the cap 0\n"
-
     def test_witness_cap_exit_5_before_witness_scans(self, capsys, monkeypatch):
         # RF(6) of <4, 10, 21, 23> holds one matrix, so the listing passes the
         # cap; RF(19) holds nine, so the witness scans must not start
@@ -220,6 +214,12 @@ class TestRelations:
         assert code == 5
         assert "2880" in err and "cap 1" in err
         assert out == ""
+
+    def test_cap_message_singular_for_one_matrix(self, capsys):
+        # RF(F) of <3, 4, 5> holds one matrix
+        code, out, err = run_cli(capsys, "relations", "3", "4", "5", "--max-rf", "0")
+        assert code == 5 and out == ""
+        assert err == "error: enumeration would produce 1 matrix, above the cap 0\n"
 
 
 @pytest.mark.parametrize("command, built", [

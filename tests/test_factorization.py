@@ -1,13 +1,16 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arfrf import families, verifier
 from arfrf.factorization import count_factorizations, factorization_vectors
 from arfrf.rfmatrix import rf_row_choices
 from arfrf.semigroup import from_generators
+from arfrf.verifier import VerifyConfig, parse_config_text
 
+from test_lattice import QUICK_CFG
 from test_semigroup import gen_sets
 
 
@@ -34,8 +37,32 @@ def _reference_vectors(gens, value):
     return out
 
 
+def _reference_rows(sg, f):
+    """RF(f)'s row lists built from ``_reference_vectors``."""
+    gens = sg.generators
+    return [
+        [v[:i] + (-1,) + v[i:] for v in _reference_vectors(gens[:i] + gens[i + 1 :], f + n)]
+        for i, n in enumerate(gens)
+    ]
+
+
+def _count(gens, value):
+    """Number of factorizations of ``value`` over ``gens`` (repeats allowed)."""
+    ways = [1] + [0] * value
+    for g in gens:
+        for v in range(g, value + 1):
+            ways[v] += ways[v - g]
+    return ways[value]
+
+
 # up to six distinct generators below 60, in any order
 unsorted_gens = st.lists(st.integers(1, 59), min_size=1, max_size=6, unique=True).flatmap(st.permutations)
+# up to six generators, repeats allowed, many of them multiples of one d, so
+# the two smallest often share a factor or one divides the other
+shared_factor_gens = st.integers(1, 9).flatmap(
+    lambda d: st.lists(st.one_of(st.integers(1, 59), st.integers(1, 8).map(lambda k: d * k)),
+                       min_size=1, max_size=6)
+)
 
 
 class TestEnumeration:
@@ -75,6 +102,46 @@ class TestEnumeration:
         assert vectors[0] == (100_000, 0, 0)
         assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
+    def test_cost_follows_the_output_for_the_pair(self):
+        # 11 vectors; a search that tried every multiple of 1000033 against
+        # 1000003 would loop about 10**7 times
+        a, b = 1000003, 1000033
+        t0 = time.perf_counter()
+        vectors = factorization_vectors((a, b), 10 * a * b)
+        elapsed = time.perf_counter() - t0
+        assert vectors == [(10 * b - k * b, k * a) for k in range(11)]
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+class TestPairCongruence:
+    def test_one_generator(self):
+        assert factorization_vectors((7,), 21) == [(3,)]
+        assert factorization_vectors((7,), 20) == []
+        assert factorization_vectors((7,), 0) == [(0,)]
+
+    def test_value_zero_with_a_shared_factor(self):
+        assert factorization_vectors((4, 6), 0) == [(0, 0)]
+        assert factorization_vectors((9, 4, 6), 0) == [(0, 0, 0)]
+
+    def test_remainder_the_gcd_does_not_divide(self):
+        # gcd(6, 4) = 2: 9 is odd; over (9, 6, 4), 11 leaves 11 or 2, and 2 is
+        # even but below both
+        assert factorization_vectors((4, 6), 9) == []
+        assert factorization_vectors((9, 6, 4), 11) == []
+        assert factorization_vectors((9, 6, 4), 13) == [(1, 0, 1)]
+
+    def test_step_one_when_the_smaller_divides_the_larger(self):
+        assert factorization_vectors((12, 4), 24) == [(2, 0), (1, 3), (0, 6)]
+        assert factorization_vectors((5, 5), 10) == [(2, 0), (1, 1), (0, 2)]
+        assert factorization_vectors((3, 12, 6), 15) == [(5, 0, 0), (3, 0, 1), (1, 1, 0), (1, 0, 2)]
+
+    @given(shared_factor_gens, st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_with_repeats_and_shared_factors(self, gens, value):
+        gens = tuple(gens)
+        assume(_count(gens, value) <= 20_000)
+        assert factorization_vectors(gens, value) == _reference_vectors(gens, value)
+
 
 class TestOrder:
     def test_unsorted_generators_keep_caller_order(self):
@@ -93,13 +160,19 @@ class TestOrder:
                  [(8, 0, 0, -1, 0), (0, 1, 1, -1, 0)], [(4, 0, 1, 0, -1), (0, 1, 0, 1, -1)]],
         }
         assert sg.pseudo_frobenius() == tuple(expected)
-        gens = sg.generators
         for f, rows in expected.items():
-            reference = [
-                [v[:i] + (-1,) + v[i:] for v in _reference_vectors(gens[:i] + gens[i + 1 :], f + n)]
-                for i, n in enumerate(gens)
-            ]
-            assert rf_row_choices(sg, f) == rows == reference
+            assert rf_row_choices(sg, f) == rows == _reference_rows(sg, f)
+
+    def test_row_lists_match_reference_on_quick_grid(self):
+        config = VerifyConfig(**parse_config_text(QUICK_CFG.read_text()))
+        sources = [*families.M_LE_5_VARIANTS, "med", "closure", "random"]
+        instances = rows = 0
+        for _, sg, _, _ in verifier._instances(config, sources):
+            instances += 1
+            for f in sg.pseudo_frobenius():
+                assert rf_row_choices(sg, f) == _reference_rows(sg, f), (sg.generators, f)
+                rows += 1
+        assert (instances, rows) == (225, 695)
 
     @given(unsorted_gens, st.integers(0, 300))
     @settings(max_examples=300, deadline=None)
