@@ -364,9 +364,9 @@ def cmd_verify(args, argv) -> int:
     except (OSError, UnknownClaim, GridTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    # a run leaves a few reference cycles (argparse's, the JSON encoders') and
-    # the walk none, so many runs in one process may pass with no full
-    # collection between them: collect them here
+    # a run leaves a few reference cycles (the parser main() dropped, the
+    # JSON encoders) and the walk none, so many runs in one process may pass
+    # with no full collection between them: collect them here
     gc.collect()
     lines = [f"{r.claim_id:20s} {r.status:24s} checked={r.checked}" for r in reports]
     lines.append(f"reports written to {report_dir}")
@@ -454,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, argv)
     except BrokenPipeError:
