@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import gc
 import itertools
 import json
 import os
@@ -364,10 +363,6 @@ def cmd_verify(args, argv) -> int:
     except (OSError, UnknownClaim, GridTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    # a run leaves a few reference cycles (the parser main() dropped, the
-    # JSON encoders) and the walk none, so many runs in one process may pass
-    # with no full collection between them: collect them here
-    gc.collect()
     lines = [f"{r.claim_id:20s} {r.status:24s} checked={r.checked}" for r in reports]
     lines.append(f"reports written to {report_dir}")
     lines.append("result: " + ("ok" if ok else "FAIL"))
@@ -454,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
     except BrokenPipeError:

@@ -18,7 +18,10 @@ from .semigroup import NumericalSemigroup
 def _remainders(gens: Sequence[int], order: list[int], rem: int, coeffs: list[int]) -> Iterator[int]:
     """Write each choice of the coefficients at ``order`` into ``coeffs``,
     first generator outermost and largest multiple first, and yield what is
-    left of ``rem``."""
+    left of ``rem``; with ``order`` empty, yield ``rem`` itself."""
+    if not order:
+        yield rem
+        return
     idx, *rest = order
     g = gens[idx]
     for c in range(rem // g, -1, -1):
@@ -57,7 +60,7 @@ def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ..
     inv = pow(up, -1, step)  # 0 when step == 1
     out: list[tuple[int, ...]] = []
     coeffs = [0] * len(gens)
-    for rem in _remainders(gens, outer, value, coeffs) if outer else (value,):
+    for rem in _remainders(gens, outer, value, coeffs):
         if rem % d == 0:
             ca = rem // a
             ca -= (ca - rem // d * inv) % step
