@@ -38,7 +38,14 @@ bound and not every change run beats every parent run, "worse" when the
 change's median is worse than the parent's by more than the bound, and
 "within bound" otherwise. ``gain`` holds when the change wins at least nine
 tenths of the equal-seed pairs (ties count for neither) and its median is
-better by more than the spread. Uses the standard library only.
+better by more than the spread.
+
+With ``--traced-pairs N``, N more pairs per sweep follow, each side one
+``perfbench/run.py --trace 1 --seed 1`` run, the side that goes first
+alternating as above; the file's ``traced`` block holds those runs and the
+per-side median of each per-layer metric. A traced run is held to the same
+``correct`` rule, so a sweep-lattice run whose tracer missed a
+``lattice_index`` call stops the recording. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sweep-enum", "sweep-lattice", "cli-mix")
+SWEEPS = WORKLOADS[:2]
 SEEDS = tuple(range(1, 11))
 TEST_CACHES = (".hypothesis", ".pytest_cache", ".benchmarks")
 
@@ -114,10 +122,10 @@ def require_no_test_caches(sides: dict[str, Path]) -> None:
                                  "record from fresh clones; nothing run")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perfbench/run.py`` run; its result line, parsed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run, traced if ``trace``; its result line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -185,6 +193,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--traced-pairs", type=int, default=0, metavar="N",
+                        help="traced seed-1 pairs per sweep after the untraced ones (default 0)")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     require_same_benchmark(sides)
@@ -200,6 +210,14 @@ def main(argv=None) -> int:
                 outcome = run_once(sides[side], workload, seed, seconds)
                 require_correct(outcome, workload, seed, side)
                 runs.append({"workload": workload, "seed": seed, "side": side, **outcome})
+    traced = []
+    for workload in SWEEPS:
+        for pair in range(args.traced_pairs):
+            for side in ("parent", "change")[:: 1 if pair % 2 == 0 else -1]:
+                print(f"{workload} traced pair {pair + 1}: {side}", file=sys.stderr, flush=True)
+                outcome = run_once(sides[side], workload, 1, seconds, trace=1)
+                require_correct(outcome, workload, 1, side)
+                traced.append({"workload": workload, "seed": 1, "side": side, **outcome})
     record = {
         "label": args.label,
         "git": {side: git_sha(path) for side, path in sides.items()},
@@ -210,6 +228,8 @@ def main(argv=None) -> int:
         "medians": medians(runs),
         "verdicts": verdicts(runs, benchmark.get("end_to_end", [])),
     }
+    if traced:
+        record["traced"] = {"runs": traced, "medians": medians(traced)}
     for workload, judged in record["verdicts"].items():
         for name, v in judged.items():
             print(f"{workload} {name}: {v['verdict']}; change - parent median "

@@ -173,3 +173,54 @@ def test_recording_prints_one_verdict_line_per_metric(record_bench, monkeypatch,
     lines = [line for line in capsys.readouterr().err.splitlines() if ": within bound;" in line]
     assert [line.split(":")[0] for line in lines] == [
         f"{w} norm_wall_s" for w in record_bench.WORKLOADS]
+
+
+def _fake_runs(monkeypatch, record_bench, traced_outcome):
+    """Replace run_once; untraced runs read _outcome(), traced ones ``traced_outcome``.
+    Returns the list each call appends (checkout name, workload, seed, trace) to."""
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        return traced_outcome if trace else _outcome()
+
+    monkeypatch.setattr(record_bench, "run_once", fake_run_once)
+    return calls
+
+
+def test_traced_pairs_follow_the_untraced_ones_on_the_sweeps(record_bench, monkeypatch, tmp_path):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    calls = _fake_runs(monkeypatch, record_bench, _outcome())
+    assert record_bench.main(argv + ["--traced-pairs", "2"]) == 0
+    untraced = 2 * len(record_bench.WORKLOADS) * len(record_bench.SEEDS)
+    assert all(trace == 0 for *_, trace in calls[:untraced])
+    # seed 1 only, the side that goes first alternating from pair to pair
+    assert calls[untraced:] == [
+        (side, workload, 1, 1)
+        for workload in ("sweep-enum", "sweep-lattice")
+        for side in ("parent", "change", "change", "parent")
+    ]
+    traced = json.loads((out / "BENCH_x.json").read_text())["traced"]
+    assert [(r["workload"], r["side"]) for r in traced["runs"]] == [call[1::-1] for call in calls[untraced:]]
+    assert traced["medians"] == {
+        w: {side: {"norm_wall_s": 1.0} for side in ("parent", "change")}
+        for w in ("sweep-enum", "sweep-lattice")
+    }
+
+
+def test_no_traced_block_without_traced_pairs(record_bench, monkeypatch, tmp_path):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    calls = _fake_runs(monkeypatch, record_bench, _outcome())
+    assert record_bench.main(argv) == 0
+    assert all(trace == 0 for *_, trace in calls)
+    assert "traced" not in json.loads((out / "BENCH_x.json").read_text())
+
+
+def test_incorrect_traced_run_stops_the_recording(record_bench, monkeypatch, tmp_path):
+    _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    calls = _fake_runs(monkeypatch, record_bench, _outcome(correct=False))
+    with pytest.raises(SystemExit) as stop:
+        record_bench.main(argv + ["--traced-pairs", "1"])
+    assert str(stop.value.code).startswith("sweep-enum seed 1 (parent): correct False")
+    assert calls[-1] == ("parent", "sweep-enum", 1, 1)
+    assert list(out.iterdir()) == []
