@@ -20,11 +20,15 @@ Usage (from the repository root), with both sides fresh clones:
 
 A working checkout is no stand-in for a clone: one holding test caches
 (``.hypothesis/``, ``.pytest_cache/``) once read cli-mix ``peak_rss_mb``
-0.19 MB above a fresh clone of the same commit. So a side whose checkout
-holds one of ``TEST_CACHES`` stops the recording, before the first run,
-with a non-zero exit that names the directory. The ``machine`` block
-records ``PYTHONDONTWRITEBYTECODE``: when it is set, every benchmark child
-compiles arfrf afresh, and cli-mix ``peak_rss_mb`` grows with the source.
+0.19 MB above a fresh clone of the same commit, and Python reads a
+``__pycache__`` even under ``PYTHONDONTWRITEBYTECODE=1``, so a side that
+holds one imports ``arfrf.cli`` three to five times as fast as a fresh
+clone (``python -X importtime``). So a side whose checkout holds one of
+``TEST_CACHES``, or a ``__pycache__`` anywhere under src/ or perfbench/,
+stops the recording, before the first run, with a non-zero exit that names
+the directory. The ``machine`` block records ``PYTHONDONTWRITEBYTECODE``:
+when it is set, every benchmark child compiles arfrf afresh, and cli-mix
+``peak_rss_mb`` grows with the source.
 
 Runs take the order workload, then seed, and the side that goes first
 alternates from one pair to the next. A run that reads ``correct: false``
@@ -114,12 +118,15 @@ def require_same_benchmark(sides: dict[str, Path]) -> None:
 
 
 def require_no_test_caches(sides: dict[str, Path]) -> None:
-    """Stop at the first side whose checkout holds a test cache directory."""
+    """Stop at the first side whose checkout holds a test cache directory or
+    cached bytecode of the program or the benchmark."""
     for side, checkout in sides.items():
-        for name in TEST_CACHES:
-            if (checkout / name).is_dir():
-                raise SystemExit(f"the {side} checkout {checkout} holds {name}/; "
-                                 "record from fresh clones; nothing run")
+        bytecode = sorted(path for top in ("src", "perfbench")
+                          for path in (checkout / top).rglob("__pycache__"))
+        for path in [*(checkout / name for name in TEST_CACHES), *bytecode]:
+            if path.is_dir():
+                raise SystemExit(f"the {side} checkout {checkout} holds "
+                                 f"{path.relative_to(checkout)}/; record from fresh clones; nothing run")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:

@@ -301,7 +301,9 @@ def cmd_relations(args, argv) -> int:
 def cmd_closure(args, argv) -> int:
     sg = from_generators(args.generators)
     closure = sg.arf_closure()
-    added = [n for n in range(sg.conductor) if closure.contains(n) and not sg.contains(n)]
+    # the closure keeps the multiplicity m: class i mod m gains w_C(i), w_C(i) + m, ..., w_S(i) - m
+    added = sorted(n for low, high in zip(closure.apery_table, sg.apery_table)
+                   for n in range(low, high, sg.multiplicity))
     payload = {
         "input_generators": list(sg.generators),
         "was_arf": sg == closure,
@@ -349,21 +351,18 @@ def cmd_verify(args, argv) -> int:
         ok = verifier.aggregate_ok(reports)
         summary = {
             "config": {key: getattr(config, key) for key in verifier._CONFIG_INT_KEYS},
-            "claims": [
-                {"claim_id": r.claim_id, "status": r.status, "checked": r.checked}
-                for r in reports
-            ],
+            "claims": [{key: r[key] for key in ("claim_id", "status", "checked")}
+                       for r in reports],
             "ok": ok,
         }
         for report in reports:
-            targets[report.claim_id].write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-            )
+            targets[report["claim_id"]].write_text(
+                json.dumps(report, sort_keys=True, indent=2) + "\n")
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except (OSError, UnknownClaim, GridTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    lines = [f"{r.claim_id:20s} {r.status:24s} checked={r.checked}" for r in reports]
+    lines = [f"{r['claim_id']:20s} {r['status']:24s} checked={r['checked']}" for r in reports]
     lines.append(f"reports written to {report_dir}")
     lines.append("result: " + ("ok" if ok else "FAIL"))
     payload = {"summary": summary, "report_dir": str(report_dir)}

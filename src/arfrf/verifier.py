@@ -18,12 +18,13 @@ the walk holds no earlier instance while it builds the next.
 ``verify_all`` is the one engine; ``verify_claim`` runs it on one claim. It
 builds each instance once, runs each distinct check on it once, and folds
 the result into every claim that reads its source: problems become
-counterexamples or grouped table mismatches. A claim reports "pass",
-"fail", or "mismatch-with-details"; the last means every observed
-discrepancy matches a pre-registered fixture shipped with the package (two
-suspected typos and one single-instance omission in the closed-form tables,
-each carrying the enumerated correction). A claim that checked nothing
-fails. Reports are deterministic: same config, same bytes.
+counterexamples or grouped table mismatches. Both return the report
+documents themselves, the dicts ``arfrf verify`` writes as JSON. A claim's
+status is "pass", "fail", or "mismatch-with-details"; the last means every
+observed discrepancy matches a pre-registered fixture shipped with the
+package (two suspected typos and one single-instance omission in the
+closed-form tables, each carrying the enumerated correction). A claim that
+checked nothing fails. Reports are deterministic: same config, same bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from importlib import resources
 from itertools import islice, product
 from math import gcd, prod
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import families
 from .errors import GridTooLarge, UnknownClaim
@@ -237,61 +238,28 @@ def _fixture_covers(fixture: dict, mismatch: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-
-class ClaimReport:
-    """One claim's outcome, filled in by the sweep; ``to_dict`` gives the
-    fields in the order of ``__slots__``."""
-
-    __slots__ = ("claim_id", "description", "grid", "status", "checked", "mismatches",
-                 "counterexamples", "notes")
-
-    def __init__(self, claim_id: str, description: str, grid: dict) -> None:
-        self.claim_id = claim_id
-        self.description = description
-        self.grid = grid
-        self.status = "pass"
-        self.checked = 0
-        self.mismatches: list = []
-        self.counterexamples: list = []
-        self.notes: list = []
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def aggregate_ok(reports) -> bool:
-    """True when no report failed outside the pre-registered fixtures."""
-    return all(r.status != "fail" for r in reports)
-
-
-# ---------------------------------------------------------------------------
 # sampling
 
 
-def sample_arf_closures(count: int, multiplicities, seed: int) -> list[NumericalSemigroup]:
-    """Deterministic sample of distinct Arf closures with prescribed multiplicities.
+def sample_arf_closures(count: int, multiplicities, seed: int) -> Iterator[NumericalSemigroup]:
+    """Seeded distinct Arf closures with prescribed multiplicities, each yielded as drawn.
 
     The closure of <m, extras> keeps multiplicity m, so seeding the generator
     sets by multiplicity gives full control of m while the closure supplies
     Arf instances well outside the parametrized families.
     """
     rng = random.Random(seed)
-    out: list[NumericalSemigroup] = []
     seen: set = set()
-    while len(out) < count:
+    while len(seen) < count:
         m = multiplicities[rng.randrange(len(multiplicities))]
         extras = {rng.randint(m + 1, MAX_GENERATOR) for _ in range(rng.randint(2, 4))}
         gens = sorted({m, *extras})
         if reduce(gcd, gens) != 1:
             continue
         sg = from_generators(gens).arf_closure()
-        if sg.generators in seen:
-            continue
-        seen.add(sg.generators)
-        out.append(sg)
-    return out
+        if sg.generators not in seen:
+            seen.add(sg.generators)
+            yield sg
 
 
 def random_semigroups(count: int, seed: int):
@@ -335,11 +303,10 @@ def _instances(config: VerifyConfig, sources):
                 yield "med", families.build_family(spec), spec, {"spec": _spec_dict(spec)}
     if "closure" in sources:
         origin = {"origin": "arf-closure-sample", "seed": config.seed}
-        samples = sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed)[::-1]
-        while samples:  # popped and dropped as walked: a walked sample's RF row lists go with it
-            sg = samples.pop()
-            yield "closure", sg, None, {"semigroup": list(sg.generators), "origin": origin}
-            del sg
+        samples = sample_arf_closures(config.closure_samples, CLOSURE_MULTIPLICITIES, config.seed)
+        # a generator expression: no binding here outlives the last sample and its RF row lists
+        yield from (("closure", sg, None, {"semigroup": list(sg.generators), "origin": origin})
+                    for sg in samples)
     if "random" in sources:
         rng = random.Random(config.seed + 1)
         for gens in random_semigroups(config.oracle_samples, config.seed):
@@ -643,12 +610,12 @@ SUITES = {
 }
 
 
-def _fold(report: ClaimReport, loci: dict, where: dict, spec, checked: int, problems) -> None:
+def _fold(report: dict, loci: dict, where: dict, spec, checked: int, problems) -> None:
     """Add one instance's check result to a claim's report, changing nothing in the result."""
-    report.checked += checked
+    report["checked"] += checked
     for problem in problems:
         if "locus" not in problem:
-            report.counterexamples.append({**where, **problem})
+            report["counterexamples"].append({**where, **problem})
             continue
         variant, label = key = problem["locus"]
         example = {**where, **{k: v for k, v in problem.items() if k != "locus"}}
@@ -659,23 +626,28 @@ def _fold(report: ClaimReport, loci: dict, where: dict, spec, checked: int, prob
             locus["s_values"].append(spec.s)
 
 
-def _finish(report: ClaimReport, loci: dict, fixtures: list[dict]) -> None:
+def _finish(report: dict, loci: dict, fixtures: list[dict]) -> None:
     """Group the mismatches, match them to the fixtures and decide the status."""
-    report.mismatches = [loci[k] for k in sorted(loci)]
-    for m in report.mismatches:
+    mismatches = report["mismatches"] = [loci[k] for k in sorted(loci)]
+    for m in mismatches:
         m["expected"] = any(_fixture_covers(f, m) for f in fixtures)
-    if not report.checked:
+    if not report["checked"]:
         # an empty universe proves nothing, so it must not read as a pass
-        report.notes.append("checked nothing")
-    if (report.counterexamples or not report.checked
-            or not all(m["expected"] for m in report.mismatches)):
-        report.status = "fail"
-    elif report.mismatches:
-        report.status = "mismatch-with-details"
+        report["notes"].append("checked nothing")
+    if (report["counterexamples"] or not report["checked"]
+            or not all(m["expected"] for m in mismatches)):
+        report["status"] = "fail"
+    elif mismatches:
+        report["status"] = "mismatch-with-details"
 
 
-def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> ClaimReport:
-    """Run one registered claim against the fixtures ``config`` names."""
+def aggregate_ok(reports) -> bool:
+    """True when no report failed outside the pre-registered fixtures."""
+    return all(r["status"] != "fail" for r in reports)
+
+
+def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> dict:
+    """Run one registered claim against the fixtures ``config`` names; returns its report document."""
     return verify_all(config, [claim_id])[0]
 
 
@@ -689,9 +661,12 @@ def check_request(config: VerifyConfig, claim_ids=None) -> tuple[tuple[str, ...]
     return claim_ids, load_fixtures(config.fixtures_path)
 
 
-def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[ClaimReport]:
+def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[dict]:
     """Run a claim list (default suite when None) in one walk; an empty list runs nothing.
 
+    Returns one report document per claim, in list order: the dict that
+    ``arfrf verify`` writes as JSON, with the keys claim_id, description, grid,
+    status, checked, mismatches, counterexamples and notes, in that order.
     ``check_request`` checks every claim id and the fixtures before the first
     instance is built; the config checked its own bounds when it was built.
     On each instance each distinct check runs once, for every claim whose
@@ -701,12 +676,13 @@ def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[Claim
     config = config or VerifyConfig()
     claim_ids, fixtures = check_request(config, claim_ids)
     claims = [CLAIMS[cid] for cid in claim_ids]
-    reports = [ClaimReport(claim_id=cid, description=claim.description, grid=claim.grid(config))
-               for cid, claim in zip(claim_ids, claims)]
+    reports = [{"claim_id": cid, "description": claim.description, "grid": claim.grid(config),
+                "status": "pass", "checked": 0, "mismatches": [], "counterexamples": [],
+                "notes": []} for cid, claim in zip(claim_ids, claims)]
     loci: list[dict] = [{} for _ in claims]
     readers: dict[str, list[int]] = {}
     for i, report in enumerate(reports):
-        for source in _sources(report.grid):
+        for source in _sources(report["grid"]):
             readers.setdefault(source, []).append(i)
     for source, sg, spec, where in _instances(config, readers):
         results: dict = {}
@@ -715,7 +691,7 @@ def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[Claim
             if check not in results:
                 results[check] = check(sg, spec)
             located = where  # a claim that sweeps closure samples locates med ones alike
-            if source == "med" and "closure_samples" in reports[i].grid:
+            if source == "med" and "closure_samples" in reports[i]["grid"]:
                 located = {"semigroup": list(sg.generators), "origin": where["spec"]}
             _fold(reports[i], loci[i], located, spec, *results[check])
     for report, found in zip(reports, loci):

@@ -94,11 +94,11 @@ def test_criterion_2_section5_worked_example(capsys):
 def test_criterion_3_closed_form_sweep(capsys):
     started = time.perf_counter()
     report = verify_claim("Props3.1-3.12", CONFIG)
-    assert report.counterexamples == []
-    assert report.status == "mismatch-with-details"
-    assert report.checked > 8000
+    assert report["counterexamples"] == []
+    assert report["status"] == "mismatch-with-details"
+    assert report["checked"] > 8000
 
-    loci = {(m["variant"], m["pf_label"]): m for m in report.mismatches}
+    loci = {(m["variant"], m["pf_label"]): m for m in report["mismatches"]}
     fixtures = load_fixtures()
     expected_loci = {(f["variant"], f["pf_label"]) for f in fixtures}
     assert set(loci) == expected_loci
@@ -124,8 +124,8 @@ def test_criterion_3_closed_form_sweep(capsys):
 def test_criterion_4_determinant_witnesses(capsys):
     started = time.perf_counter()
     report = verify_claim("Cor3.13", CONFIG)
-    assert report.status == "pass"
-    assert report.checked > 2500
+    assert report["status"] == "pass"
+    assert report["checked"] > 2500
 
     from arfrf.families import build_family
 
@@ -136,7 +136,7 @@ def test_criterion_4_determinant_witnesses(capsys):
         assert abs(determinant(witness)) == sg.frobenius
         [matrix] = closed_form_rf(spec, spec.s - 1)
         assert determinant(matrix) == (-1) ** (spec.m - 1) * (spec.s - 1)
-    assert verify_claim("Cor4.3", CONFIG).status == "pass"
+    assert verify_claim("Cor4.3", CONFIG)["status"] == "pass"
     with capsys.disabled():
         _report_line(4, "determinant witnesses |det| = F", started, 60.0)
 
@@ -145,8 +145,8 @@ def test_criterion_5_sign_exact_witnesses(capsys):
     started = time.perf_counter()
     small = verify_claim("Thm5.4.1", CONFIG)
     med = verify_claim("Thm5.4.2", CONFIG)
-    assert small.status == "pass" and small.checked > 2500
-    assert med.status == "pass" and med.checked == 50
+    assert small["status"] == "pass" and small["checked"] > 2500
+    assert med["status"] == "pass" and med["checked"] == 50
     with capsys.disabled():
         _report_line(5, "det = (-1)^(e+1) F witnesses", started, 120.0)
 
@@ -155,8 +155,8 @@ def test_criterion_6_genericity_verdicts(capsys):
     started = time.perf_counter()
     generic = verify_claim("Thm5.6", CONFIG)
     nongeneric = verify_claim("Thm5.7", CONFIG)
-    assert generic.status == "pass" and generic.checked > 200
-    assert nongeneric.status == "pass" and nongeneric.checked > 2500
+    assert generic["status"] == "pass" and generic["checked"] > 200
+    assert nongeneric["status"] == "pass" and nongeneric["checked"] > 2500
     with capsys.disabled():
         _report_line(6, "genericity split at multiplicity 3/4", started, 120.0)
 
@@ -164,9 +164,9 @@ def test_criterion_6_genericity_verdicts(capsys):
 def test_criterion_7_column_zero_pairs(capsys):
     started = time.perf_counter()
     report = verify_claim("Lemma4.5", CONFIG)
-    assert report.status == "pass"
-    assert report.grid["closure_samples"] == 100
-    assert report.checked > 10_000  # every RF matrix of F(S) over the universe
+    assert report["status"] == "pass"
+    assert report["grid"]["closure_samples"] == 100
+    assert report["checked"] > 10_000  # every RF matrix of F(S) over the universe
     with capsys.disabled():
         _report_line(7, "zero pairs in every RF matrix, m > 5", started, 120.0)
 
@@ -174,8 +174,8 @@ def test_criterion_7_column_zero_pairs(capsys):
 def test_criterion_8_oracle_equivalence(capsys):
     started = time.perf_counter()
     report = verify_claim("OracleAgreement", CONFIG)
-    assert report.status == "pass"
-    assert report.checked == 1000
+    assert report["status"] == "pass"
+    assert report["checked"] == 1000
     with capsys.disabled():
         _report_line(8, "oracles vs primary implementations", started, 60.0)
 
@@ -183,8 +183,8 @@ def test_criterion_8_oracle_equivalence(capsys):
 def test_criterion_9_lattice_equivalence(capsys):
     started = time.perf_counter()
     report = verify_claim("Thm5.2-equiv", CONFIG)
-    assert report.status == "pass"
-    assert report.checked > 3000
+    assert report["status"] == "pass"
+    assert report["checked"] > 3000
 
     # spot re-check of the pointwise equivalence on the worked example
     sg = from_generators([4, 10, 21, 23])

@@ -496,6 +496,18 @@ class TestVerifyCommand:
             tmp_path / "b" / "Prop3.2.json"
         ).read_bytes()
 
+    def test_written_reports_are_the_returned_ones(self, capsys, tmp_path):
+        # compared as text: an RF matrix is a tuple in the returned report and
+        # a JSON array in the file
+        code, _, _ = run_cli(capsys, "verify", "--suite", "quick", "--report-dir", str(tmp_path))
+        assert code == 0
+        reports = verifier.verify_all(verifier.VerifyConfig(**verifier.SUITES["quick"]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{r['claim_id']}.json" for r in reports] + ["summary.json"])
+        for report in reports:
+            written = (tmp_path / f"{report['claim_id']}.json").read_text()
+            assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
 
 def test_module_entrypoint_subprocess(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -578,6 +590,13 @@ def test_closure_cost_follows_multiplicity(gens):
     assert code == 0
     assert wall <= 10.0
     assert rss_mb <= 100.0
+
+
+def test_closure_cost_follows_its_output():
+    # <2, 40000001> is already Arf, so nothing is added below its conductor of 40,000,000
+    code, wall, _ = _run_child_measured(["closure", "2", "40000001", "--format", "json"])
+    assert code == 0
+    assert wall <= 1.0
 
 
 def test_lemma45_cost_cliff_is_gone(tmp_path):

@@ -28,7 +28,7 @@ def _checkouts(tmp_path, monkeypatch, record_bench):
     sides = []
     for name in ("parent", "change"):
         root = tmp_path / name
-        (root / "perfbench" / "__pycache__").mkdir(parents=True)
+        (root / "perfbench").mkdir(parents=True)
         (root / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
         (root / "perfbench" / "run.py").write_text("print()\n")
         sides.append(root)
@@ -82,10 +82,11 @@ def test_correct_runs_are_recorded(record_bench, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
-@pytest.mark.parametrize("cache", [".hypothesis", ".pytest_cache", ".benchmarks"])
+@pytest.mark.parametrize("cache", [".hypothesis", ".pytest_cache", ".benchmarks",
+                                   "src/arfrf/__pycache__"])
 def test_test_caches_stop_before_any_run(record_bench, monkeypatch, tmp_path, side, cache):
     _, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
-    (tmp_path / side / cache).mkdir()
+    (tmp_path / side / cache).mkdir(parents=True)
     runs = []
     monkeypatch.setattr(record_bench, "run_once", lambda *args: runs.append(args) or _outcome())
     with pytest.raises(SystemExit) as stop:
@@ -110,11 +111,15 @@ def test_machine_records_bytecode_setting(record_bench, monkeypatch, tmp_path, v
 
 
 def test_bytecode_caches_are_not_compared(record_bench, monkeypatch, tmp_path):
+    # a side holding bytecode stops the recording (see above), but as a cache, not a
+    # benchmark file that differs
     change, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    (change / "perfbench" / "__pycache__").mkdir()
     (change / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"stale")
-    monkeypatch.setattr(record_bench, "run_once", lambda *args: _outcome())
-    assert record_bench.main(argv) == 0
-    assert (out / "BENCH_x.json").is_file()
+    record_bench.require_same_benchmark({"parent": tmp_path / "parent", "change": change})
+    with pytest.raises(SystemExit) as stop:
+        record_bench.main(argv)
+    assert "holds perfbench/__pycache__/" in str(stop.value.code)
 
 
 def _runs(parent, change):

@@ -96,8 +96,8 @@ class TestOracles:
 
 class TestSampling:
     def test_closure_samples_deterministic(self):
-        a = sample_arf_closures(6, (6, 7, 8), seed=5)
-        b = sample_arf_closures(6, (6, 7, 8), seed=5)
+        a = list(sample_arf_closures(6, (6, 7, 8), seed=5))
+        b = list(sample_arf_closures(6, (6, 7, 8), seed=5))
         assert [s.generators for s in a] == [s.generators for s in b]
         assert len({s.generators for s in a}) == 6
         for sg in a:
@@ -164,10 +164,10 @@ class TestClaims:
 
     def test_report_dict_keys_in_field_order(self):
         [report] = verify_all(QUICK, ["Prop3.1"])
-        assert list(report.to_dict()) == [
+        assert list(report) == [
             "claim_id", "description", "grid", "status", "checked", "mismatches",
             "counterexamples", "notes"]
-        assert report.to_dict()["claim_id"] == "Prop3.1"
+        assert report["claim_id"] == "Prop3.1"
 
     def test_unknown_claim_fails_before_any_sweep(self, monkeypatch):
         def no_build(spec):
@@ -192,10 +192,10 @@ class TestClaims:
     def test_shared_row_choices_match_fresh_ones(self, monkeypatch):
         # the row lists kept on each instance against a fresh build for every
         # request; a check that changed a shared row list under a later check shows too
-        shared = [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
+        shared = verify_all(QUICK, list(CLAIMS))
         _patch_every_binding(monkeypatch, rfmatrix.rf_rows,
                              lambda sg, f: rfmatrix.rf_row_choices(sg, f))
-        assert shared == [report.to_dict() for report in verify_all(QUICK, list(CLAIMS))]
+        assert shared == verify_all(QUICK, list(CLAIMS))
 
     def test_row_choices_built_once_per_instance(self, monkeypatch):
         # every arfrf binding of rf_row_choices is counted, tagged with the
@@ -228,8 +228,8 @@ class TestClaims:
     def test_interleaved_claims_match_claims_run_alone(self):
         # claims that share an instance share its check result, which none may change
         ids = ["Props3.1-3.12", "Prop3.12", "Conj5.3", "Thm5.4.1", "Thm5.6", "Thm5.6"]
-        together = [report.to_dict() for report in verify_all(QUICK, ids)]
-        assert together == [verify_claim(cid, QUICK).to_dict() for cid in ids]
+        together = verify_all(QUICK, ids)
+        assert together == [verify_claim(cid, QUICK) for cid in ids]
 
     def test_counterexample_locations(self, monkeypatch):
         def fail(sg, spec):
@@ -240,7 +240,7 @@ class TestClaims:
             monkeypatch.setitem(CLAIMS, cid, CLAIMS[cid]._replace(check=fail))
         tiny = VerifyConfig(s_max=8, med_m_max=6, med_s_factor=1, closure_samples=1,
                             oracle_samples=1)
-        m2, m4_0k, med, remark, oracle = (r.counterexamples for r in verify_all(tiny, ids))
+        m2, m4_0k, med, remark, oracle = (r["counterexamples"] for r in verify_all(tiny, ids))
         assert m2[0] == {"spec": {"variant": "m2", "s": 2}, "problem": "forced"}
         assert m4_0k == [{"spec": {"variant": "m4_0k", "s": 8, "k": 1}, "problem": "forced"}]
         med_spec = {"variant": "med", "s": 6, "m": 6}
@@ -298,23 +298,23 @@ class TestClaims:
 
     def test_single_prop_passes(self):
         report = verify_claim("Prop3.1", QUICK)
-        assert report.status == "pass"
-        assert report.checked > 0
-        assert report.counterexamples == []
+        assert report["status"] == "pass"
+        assert report["checked"] > 0
+        assert report["counterexamples"] == []
 
     def test_fixture_claims_report_mismatch(self):
         for claim_id, variant in [("Prop3.6", "m4_2k"), ("Prop3.12", "m5_4b")]:
             report = verify_claim(claim_id, QUICK)
-            assert report.status == "mismatch-with-details"
-            locus = next(m for m in report.mismatches if m["variant"] == variant)
+            assert report["status"] == "mismatch-with-details"
+            locus = next(m for m in report["mismatches"] if m["variant"] == variant)
             assert locus["expected"] is True
             example = locus["example"]
             assert example["formula_only"] or example["enumeration_only"]
 
     def test_omission_fixture(self):
         report = verify_claim("Prop3.11", QUICK)
-        assert report.status == "mismatch-with-details"
-        [locus] = report.mismatches
+        assert report["status"] == "mismatch-with-details"
+        [locus] = report["mismatches"]
         assert locus["s_values"] == [9]
         assert locus["example"]["formula_only"] == []
 
@@ -322,7 +322,7 @@ class TestClaims:
         for claim_id in ("Cor3.13", "Lemma4.1", "Prop4.2", "Cor4.3", "Remark4.4",
                          "Thm5.6"):
             report = verify_claim(claim_id, QUICK)
-            assert report.status == "pass", (claim_id, report.counterexamples[:1])
+            assert report["status"] == "pass", (claim_id, report["counterexamples"][:1])
 
     def test_registry_contains_default_suite(self):
         assert set(DEFAULT_SUITE) <= set(CLAIMS)
@@ -332,14 +332,14 @@ class TestClaims:
         assert verify_all(QUICK, claim_ids=[]) == []
 
     def test_reports_deterministic(self):
-        r1 = verify_claim("Thm5.6", QUICK).to_dict()
-        r2 = verify_claim("Thm5.6", QUICK).to_dict()
+        r1 = verify_claim("Thm5.6", QUICK)
+        r2 = verify_claim("Thm5.6", QUICK)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_aggregate_ok(self):
         reports = verify_all(QUICK, claim_ids=["Prop3.1", "Prop3.6"])
         assert aggregate_ok(reports)
-        reports[0].status = "fail"
+        reports[0]["status"] = "fail"
         assert not aggregate_ok(reports)
 
 
@@ -364,7 +364,7 @@ class TestFixtures:
         )
         report = verify_claim("Prop3.6", config)
         # with no registered fixtures the tabulation mismatch is a failure
-        assert report.status == "fail"
+        assert report["status"] == "fail"
 
     @pytest.mark.parametrize("text", [
         '{"variant": "m5_4b", "pf_label": "s-2"}',
@@ -416,12 +416,12 @@ class TestConfigParsing:
 class TestRemarkAndLemma:
     def test_remark44_on_quick_grid(self):
         report = verify_claim("Remark4.4", QUICK)
-        assert report.status == "pass"
+        assert report["status"] == "pass"
 
     def test_lemma45_on_quick_grid(self):
         report = verify_claim("Lemma4.5", QUICK)
-        assert report.status == "pass"
-        assert report.checked > 100
+        assert report["status"] == "pass"
+        assert report["checked"] > 100
 
     def test_closure_instances_have_zero_pairs(self):
         from arfrf.rfmatrix import column_zero_pair
