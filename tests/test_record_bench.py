@@ -113,7 +113,7 @@ def test_machine_records_bytecode_setting(record_bench, monkeypatch, tmp_path, v
 def test_bytecode_caches_are_not_compared(record_bench, monkeypatch, tmp_path):
     # a side holding bytecode stops the recording (see above), but as a cache, not a
     # benchmark file that differs
-    change, out, argv = _checkouts(tmp_path, monkeypatch, record_bench)
+    change, _, argv = _checkouts(tmp_path, monkeypatch, record_bench)
     (change / "perfbench" / "__pycache__").mkdir()
     (change / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"stale")
     record_bench.require_same_benchmark({"parent": tmp_path / "parent", "change": change})
