@@ -1,6 +1,6 @@
-"""Exact integer matrix primitives: Bareiss determinants, the determinants of
-a Cartesian product of row choices along its product tree, Hermite forms and
-coordinates in a Hermite basis.
+"""Exact integer matrix primitives: determinants (cofactor formula to order 3,
+Bareiss above), the determinants of a Cartesian product of row choices along
+its product tree, Hermite forms and coordinates in a Hermite basis.
 
 Everything here works on plain Python ints (arbitrary precision); no floats.
 Kernels need no routine of their own: ``lattice.kernel_lattice`` reads V(S)
@@ -9,18 +9,27 @@ off one Hermite form.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterator, Sequence
 
 
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination; exact at every step."""
+    """Exact determinant of a square matrix: the cofactor formula at orders 0-3
+    (the rule of Sarrus at 3), read off ``rows`` without a copy, and
+    fraction-free (Bareiss) elimination above; exact at every step."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    for r in m:
+    for r in rows:
         if len(r) != n:
             raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n < 2:
+        return rows[0][0] if n else 1
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -58,36 +67,35 @@ def product_determinants(row_lists: Sequence[Sequence[Sequence[int]]]) -> Iterat
     :func:`bareiss_determinant`.
     """
     n = len(row_lists)
-    sparse = []
     for rows in row_lists:
         for r in rows:
             if len(r) != n:
                 raise ValueError("determinant needs a square matrix")
-        sparse.append([[(j, a) for j, a in enumerate(r) if a] for r in rows])
     if n == 0:
         return iter((1,))
-    return _walk(sparse, 0, {0: 1})
+    levels = [[[(j, a) for j, a in enumerate(r) if a] for r in rows] for rows in row_lists[:-1]]
+    return _walk([*levels, [tuple(r) for r in row_lists[-1]]], 0, {0: 1})
 
 
-def _walk(sparse: list, k: int, minors: dict[int, int]) -> Iterator[int]:
+def _walk(levels: list, k: int, minors: dict[int, int]) -> Iterator[int]:
     """Determinants below a depth-k node of the product tree whose nonzero
-    k x k minors are ``minors``; ``sparse`` holds each row choice as its
-    nonzero (column, entry) pairs.
+    k x k minors are ``minors``; ``levels`` holds each row choice as its
+    nonzero (column, entry) pairs, and those of the last row as dense tuples.
 
     The wedge of e_mask with e_j is (-1)^s e_(mask | j), where s, the number
     of columns of mask after j, has the parity of ``(mask >> j).bit_count()``.
     """
-    n = len(sparse)
+    n = len(levels)
     if k == n - 1:
         full = (1 << n) - 1
         cofactors = [0] * n
         for mask, minor in minors.items():
             j = (full ^ mask).bit_length() - 1
             cofactors[j] = -minor if (n - 1 - j) & 1 else minor
-        for row in sparse[k]:
-            yield sum(a * cofactors[j] for j, a in row)
+        for row in levels[k]:
+            yield sum(map(mul, row, cofactors))
         return
-    for row in sparse[k]:
+    for row in levels[k]:
         extended: dict[int, int] = {}
         for mask, minor in minors.items():
             for j, a in row:
@@ -95,7 +103,7 @@ def _walk(sparse: list, k: int, minors: dict[int, int]) -> Iterator[int]:
                 if not mask & bit:
                     term = -a * minor if (mask >> j).bit_count() & 1 else a * minor
                     extended[mask | bit] = extended.get(mask | bit, 0) + term
-        yield from _walk(sparse, k + 1, {m: v for m, v in extended.items() if v})
+        yield from _walk(levels, k + 1, {m: v for m, v in extended.items() if v})
 
 
 def hermite_normal_form(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tuple[int, ...], ...]:

@@ -86,7 +86,7 @@ def rf_matrices(sg: NumericalSemigroup, f: int) -> list[Matrix]:
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free elimination, no floats)."""
+    """Exact integer determinant: the cofactor formula to order 3, Bareiss above."""
     return bareiss_determinant(matrix)
 
 

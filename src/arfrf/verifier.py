@@ -440,15 +440,13 @@ def _check_index_vs_det(sg, spec):
         later_coords = [lattice_coordinates([[a - b for a, b in zip(first, r)] for r in row], V)
                         for row in later_rows]
         for rest, coords in zip(product(*later_rows), product(*later_coords)):
-            matrix = (first, *rest)
             det = next(dets)
             idx = lattice_index(coords)
             has_det_witness |= abs(det) == f
             has_index_one |= idx == 1
             if (idx or 0) * f != abs(det):  # Thm 5.2: |det| = F * [V : W], 0 on a rank drop
-                problems.append(
-                    {"matrix": matrix, "problem": f"index {idx} inconsistent with det {det}"}
-                )
+                problems.append({"matrix": (first, *rest),
+                                 "problem": f"index {idx} inconsistent with det {det}"})
     if has_det_witness != has_index_one:
         problem = f"det witness {has_det_witness} but index-1 witness {has_index_one}"
         problems.append({"problem": problem})
@@ -512,8 +510,10 @@ def _check_oracles(sg, spec):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     if pf and sg.embedding_dimension <= 5:
-        for matrix in islice(iter_rf_matrices(sg, pf[-1]), 3):
-            if determinant(matrix) != cofactor_determinant(matrix):
+        # Bareiss and the product-tree walk, each against cofactor expansion
+        walked = product_determinants(rf_rows(sg, pf[-1]))
+        for matrix, walk_det in zip(islice(iter_rf_matrices(sg, pf[-1]), 3), walked):
+            if not determinant(matrix) == walk_det == cofactor_determinant(matrix):
                 problems.append({"problem": "determinant oracles disagree", "matrix": matrix})
     return 1, problems
 
@@ -610,17 +610,24 @@ SUITES = {
 }
 
 
+def _document(value):
+    """``value`` as its JSON document, so an RF matrix becomes a list of row lists."""
+    return json.loads(json.dumps(value))
+
+
 def _fold(report: dict, loci: dict, where: dict, spec, checked: int, problems) -> None:
-    """Add one instance's check result to a claim's report, changing nothing in the result."""
+    """Add one instance's check result to a claim's report, as JSON documents."""
     report["checked"] += checked
     for problem in problems:
         if "locus" not in problem:
-            report["counterexamples"].append({**where, **problem})
+            report["counterexamples"].append(_document({**where, **problem}))
             continue
         variant, label = key = problem["locus"]
-        example = {**where, **{k: v for k, v in problem.items() if k != "locus"}}
-        locus = loci.setdefault(key, {"variant": variant, "pf_label": label, "instances": 0,
-                                      "s_values": [], "example": example})
+        if key not in loci:  # a locus keeps the example of its first instance
+            example = {**where, **{k: v for k, v in problem.items() if k != "locus"}}
+            loci[key] = {"variant": variant, "pf_label": label, "instances": 0,
+                         "s_values": [], "example": _document(example)}
+        locus = loci[key]
         locus["instances"] += 1
         if spec.s not in locus["s_values"]:
             locus["s_values"].append(spec.s)

@@ -497,8 +497,7 @@ class TestVerifyCommand:
         ).read_bytes()
 
     def test_written_reports_are_the_returned_ones(self, capsys, tmp_path):
-        # compared as text: an RF matrix is a tuple in the returned report and
-        # a JSON array in the file
+        # as text and as documents: an RF matrix is a list of row lists in both
         code, _, _ = run_cli(capsys, "verify", "--suite", "quick", "--report-dir", str(tmp_path))
         assert code == 0
         reports = verifier.verify_all(verifier.VerifyConfig(**verifier.SUITES["quick"]))
@@ -507,6 +506,7 @@ class TestVerifyCommand:
         for report in reports:
             written = (tmp_path / f"{report['claim_id']}.json").read_text()
             assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
+            assert json.loads(written) == report
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -432,6 +432,42 @@ class TestHnfCoordinates:
             assert [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(dim)] == vector
 
 
+_square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 9]), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+class TestBareissDeterminant:
+    """Orders 0-3 take the cofactor formula, orders 4 and up Bareiss elimination."""
+
+    @given(_square_matrices)
+    @example([])
+    @example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    @settings(max_examples=400, deadline=None)
+    def test_against_cofactor_expansion(self, rows):
+        det = cofactor_determinant(rows)
+        assert bareiss_determinant(rows) == det
+        assert bareiss_determinant(tuple(map(tuple, rows))) == det
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2], [3, 4, 5]], [(1, 2), (3,)],
+        [[1, 2, 3], [4, 5, 6], [7, 8]], [[1, 2, 3], [4, 5, 6], [7, 8, 9, 10]], [[1, 2, 3, 4]] * 3,
+        [[1, 2], [3, 4], [5, 6], [7, 8]],
+    ])
+    def test_not_square(self, rows):
+        # the shape check comes before any unpacking, whose errors say otherwise
+        with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
+            bareiss_determinant(rows)
+
+    @pytest.mark.parametrize("rows, det", [
+        ([[0, 2, 0, 0], [3, 0, 0, 0], [0, 0, 0, 5], [0, 0, 7, 0]], 210),
+        ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], -1),  # zero second pivot
+        ([[0, 1, 2, 3, 4], [0, 5, 6, 7, 8], [0, 1, 1, 1, 1], [0, 2, 3, 4, 5], [0, 9, 9, 9, 1]], 0),
+    ])
+    def test_zero_pivot_above_order_three(self, rows, det):
+        assert bareiss_determinant(rows) == cofactor_determinant(rows) == det
+
+
 @st.composite
 def _row_lists(draw):
     """Row lists of an n x n product: 1-3 sparse choices for each row."""
@@ -469,14 +505,20 @@ class TestProductDeterminants:
             pass
 
         rows = Rows([[1, 0, 2], [0, 1, 1]])
-        dets = product_determinants([rows, [[0, 1, 0], [1, 1, 1]], [[0, 0, 1], [1, 0, 0]]])
+        last = Rows([Rows([0, 0, 1]), Rows([1, 0, 0])])
+        dets = product_determinants([rows, [[0, 1, 0], [1, 1, 1]], last])
         assert next(dets) == 1
-        refs = weakref.ref(rows), weakref.ref(dets)
+        refs = weakref.ref(rows), weakref.ref(last), weakref.ref(last[0])
         gc.disable()
         try:
-            del rows, dets
-            # no reference cycle: both go without the cyclic collector
-            assert [ref() for ref in refs] == [None, None]
+            del rows, last
+            # the walk reads its own copies, the last row list's too
+            assert [ref() for ref in refs] == [None] * 3
+            assert next(dets) == -2
+            ref = weakref.ref(dets)
+            del dets
+            # no reference cycle: the walk goes without the cyclic collector
+            assert ref() is None
         finally:
             gc.enable()
 

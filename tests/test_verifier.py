@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from arfrf import families, rfmatrix, verifier
 from arfrf.cli import main
 from arfrf.errors import GridTooLarge, UnknownClaim
+from arfrf.intmat import product_determinants
 from arfrf.lattice import GenericityReport, is_generic
 from arfrf.rfmatrix import (
     column_zero_pair,
@@ -92,6 +93,25 @@ class TestOracles:
         assert cofactor_determinant([[1, 2], [3, 4]]) == -2
         assert cofactor_determinant([[-1, 1], [4, -1]]) == -3
         assert cofactor_determinant([[0, 0], [0, 0]]) == 0
+
+    def test_agreement_holds_the_walk_to_cofactor_expansion(self, monkeypatch):
+        # OracleAgreement compares the first three determinants of the walk over
+        # RF(max PF) with cofactor expansion, and walks no further
+        gens = (4, 10, 21, 23)
+        sg, spec = from_generators(gens), (gens, [7, 30, 100, 499])
+        assert verifier._check_oracles(sg, spec) == (1, [])
+        pulled = []
+
+        def walk(row_lists):  # off by one at the second matrix
+            for i, det in enumerate(product_determinants(row_lists)):
+                pulled.append(det)
+                yield det + (i == 1)
+
+        monkeypatch.setattr(verifier, "product_determinants", walk)
+        second = rfmatrix.rf_matrices(sg, sg.pseudo_frobenius()[-1])[1]
+        problem = {"problem": "determinant oracles disagree", "matrix": second}
+        assert verifier._check_oracles(sg, spec) == (1, [problem])
+        assert len(pulled) == 3
 
 
 class TestSampling:
