@@ -80,7 +80,7 @@ def product_determinants(row_lists: Sequence[Sequence[Sequence[int]]]) -> Iterat
 def _walk(levels: list, k: int, minors: dict[int, int]) -> Iterator[int]:
     """Determinants below a depth-k node of the product tree whose nonzero
     k x k minors are ``minors``; ``levels`` holds each row choice as its
-    nonzero (column, entry) pairs, and those of the last row as dense tuples.
+    nonzero (column, entry) pairs, and the last row's choices as dense tuples.
 
     The wedge of e_mask with e_j is (-1)^s e_(mask | j), where s, the number
     of columns of mask after j, has the parity of ``(mask >> j).bit_count()``.

@@ -510,7 +510,7 @@ def _check_oracles(sg, spec):
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     if pf and sg.embedding_dimension <= 5:
-        # Bareiss and the product-tree walk, each against cofactor expansion
+        # `determinant` and the product-tree walk, each against cofactor expansion
         walked = product_determinants(rf_rows(sg, pf[-1]))
         for matrix, walk_det in zip(islice(iter_rf_matrices(sg, pf[-1]), 3), walked):
             if not determinant(matrix) == walk_det == cofactor_determinant(matrix):
