@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import json
 import os
@@ -385,7 +386,10 @@ def _cap(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``arfrf`` parser, built once per process: a parser is a web of reference
+    cycles, which only a full collection would free if each call built one."""
     parser = argparse.ArgumentParser(
         prog="arfrf",
         description="numerical semigroup invariants, RF matrices, genericity, "
@@ -400,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="invariants of <generators>")
     add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("rf", help="row-factorization matrices of PF elements")
     add_common(p)
@@ -415,20 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort if a PF element has more matrices than this cap "
         "(safety valve for adversarial inputs; no cap by default)",
     )
-    p.set_defaults(func=cmd_rf)
 
     p = sub.add_parser("generic", help="genericity of the defining toric ideal")
     add_common(p)
-    p.set_defaults(func=cmd_generic)
 
     p = sub.add_parser("relations", help="RF relations, W(S) and [V(S):W(S)]")
     add_common(p)
     p.add_argument("--max-rf", type=_cap, default=None, help="cap on the RF(F) count")
-    p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("closure", help="smallest Arf semigroup containing <generators>")
     add_common(p)
-    p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("verify", help="run registered claim sweeps")
     add_common(p, gens=False)
@@ -442,16 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, dest="closure_samples",
                    metavar="SAMPLES", help="closure sample count")
     p.add_argument("--report-dir", default="reports")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        # looked up by name on each call, so a wrapper set on a cmd_* binding runs
+        return globals()[f"cmd_{args.command}"](args, argv)
     except BrokenPipeError:
         # the reader is gone: send the rest, and the flush at exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -14,7 +14,8 @@ exhaustive enumeration, not to editorialize.
 
 A closed form is stored as a list of templates; a template is one per-row
 choice list whose Cartesian product (row-major) yields matrices. Templates
-are expanded and deduplicated, nothing else: within the stated parameter
+are expanded and deduplicated, or their union counted without expanding
+them, nothing else: within the stated parameter
 bounds no entry off the diagonal is negative, and one that were would show
 up as a ``formula_only`` mismatch in the verifier rather than be hidden.
 """
@@ -22,6 +23,7 @@ up as a ``formula_only`` mismatch in the verifier rather than be hidden.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from functools import partial
 from typing import Callable, NamedTuple
@@ -97,7 +99,7 @@ def build_family(spec: FamilySpec) -> NumericalSemigroup:
 
 def closed_form_pf(spec: FamilySpec) -> tuple[int, ...]:
     """Pseudo-Frobenius elements predicted by the variant tables (sorted)."""
-    return tuple(closed_form_table(spec))
+    return tuple(closed_form_templates(spec))
 
 
 def pf_label(spec: FamilySpec, f: int) -> str:
@@ -110,7 +112,7 @@ def pf_label(spec: FamilySpec, f: int) -> str:
 
 
 def _label(spec: FamilySpec, f: int) -> str:
-    """``pf_label`` for an f the caller took from ``closed_form_table(spec)``,
+    """``pf_label`` for an f the caller took from ``closed_form_templates(spec)``,
     so the table is not built a second time to check it."""
     if spec.k is not None and f == 4 * spec.k - 2:
         return "4k-2"
@@ -130,17 +132,36 @@ def _expand(templates: list[list[list[tuple[int, ...]]]]) -> list[Matrix]:
     return list(seen)
 
 
+def _union_size(templates: list[list[list[tuple[int, ...]]]]) -> int:
+    """``len(_expand(templates))`` with no matrix built: inclusion-exclusion over
+    the templates, where two products meet in the product of their row-wise
+    intersections (and not at all when their row counts differ)."""
+    rows = [[set(choices) for choices in template] for template in templates]
+    total = 0
+    for r in range(1, len(rows) + 1):
+        for group in itertools.combinations(rows, r):
+            if len({len(template) for template in group}) == 1:
+                total += (-1) ** (r + 1) * math.prod(map(len, map(set.intersection, *group)))
+    return total
+
+
+def closed_form_templates(spec: FamilySpec) -> dict[int, list[list[list[tuple[int, ...]]]]]:
+    """{PF element: its templates as tabulated}, PF elements ascending; the
+    "med" formula is one single-choice template per PF element."""
+    m, s = spec.m, spec.s
+    if spec.variant == "med":
+        return {s - j: [_rows(*_med_matrix(m, s, j))] for j in range(m - 1, 0, -1)}
+    table = VARIANTS[spec.variant].rf_table(s, spec.k)
+    return {f: table[f] for f in sorted(table)}
+
+
 def closed_form_table(spec: FamilySpec) -> dict[int, list[Matrix]]:
     """{PF element: tabulated RF matrix list}, PF elements ascending.
 
     The multiplicity <= 5 tables claim completeness; the one "med" formula
     matrix per PF element is only one member of the full enumeration.
     """
-    m, s = spec.m, spec.s
-    if spec.variant == "med":
-        return {s - j: [_med_matrix(m, s, j)] for j in range(m - 1, 0, -1)}
-    table = VARIANTS[spec.variant].rf_table(s, spec.k)
-    return {f: _expand(table[f]) for f in sorted(table)}
+    return {f: _expand(templates) for f, templates in closed_form_templates(spec).items()}
 
 
 def closed_form_rf(spec: FamilySpec, f: int) -> list[Matrix]:

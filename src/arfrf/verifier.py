@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from importlib import resources
 from itertools import islice, product
 from math import gcd, prod
@@ -342,25 +342,43 @@ def _sources(grid: dict) -> list[str]:
 #
 # A problem is a dict merged into the instance's ``where`` to form a
 # counterexample. A problem carrying a ``locus`` (variant, PF label) is a
-# closed-form table mismatch instead; the sweep groups those by locus.
+# closed-form table mismatch instead; the sweep groups those by locus, and
+# calls its ``example``, a builder of the mismatch's details, only for the
+# first instance of each locus.
+
+
+def _table_is_rf(templates, rows) -> bool:
+    """Whether the union of the templates' products is RF(f), whose row lists are
+    ``rows``, with no matrix built: every template that yields a matrix has e
+    rows, each of its choices in the matching row list, and the union holds as
+    many matrices as RF(f), the product of the row-list lengths (no list repeats)."""
+    allowed = [set(choices) for choices in rows]
+    for template in templates:
+        if all(template) and (len(template) != len(rows) or not all(
+                allowed_i.issuperset(choices) for choices, allowed_i in zip(template, allowed))):
+            return False
+    return families._union_size(templates) == prod(map(len, rows))
+
+
+def _closed_form_diff(sg, f, templates) -> dict:
+    """A mismatch's example: the table's and the enumeration's matrices that the other lacks."""
+    enum = set(iter_rf_matrices(sg, f))
+    closed = set(families._expand(templates))
+    return {"f": f, "formula_only": sorted(closed - enum),
+            "enumeration_only": sorted(enum - closed)}
 
 
 def _check_closed_form(sg, spec):
     if not sg.is_arf():
         return 0, [{"problem": "family instance is not Arf"}]
     pf = sg.pseudo_frobenius()
-    table = families.closed_form_table(spec)
+    table = families.closed_form_templates(spec)
     if pf != tuple(table):
         problem = "pseudo-Frobenius set differs from the table"
         return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(table)}]
-    problems = []
-    for f in pf:
-        enum = set(iter_rf_matrices(sg, f))
-        closed = set(table[f])
-        if enum != closed:
-            locus = (spec.variant, families._label(spec, f))
-            problems.append({"locus": locus, "f": f, "formula_only": sorted(closed - enum),
-                             "enumeration_only": sorted(enum - closed)})
+    problems = [{"locus": (spec.variant, families._label(spec, f)),
+                 "example": partial(_closed_form_diff, sg, f, table[f])}
+                for f in pf if not _table_is_rf(table[f], rf_rows(sg, f))]
     return len(pf), problems
 
 
@@ -624,7 +642,7 @@ def _fold(report: dict, loci: dict, where: dict, spec, checked: int, problems) -
             continue
         variant, label = key = problem["locus"]
         if key not in loci:  # a locus keeps the example of its first instance
-            example = {**where, **{k: v for k, v in problem.items() if k != "locus"}}
+            example = {**where, **problem["example"]()}
             loci[key] = {"variant": variant, "pf_label": label, "instances": 0,
                          "s_values": [], "example": _document(example)}
         locus = loci[key]

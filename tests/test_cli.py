@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from arfrf import families, rfmatrix, verifier
+from arfrf import cli, families, rfmatrix, verifier
 from arfrf.cli import build_parser, main, render_binomial, render_monomial
 from arfrf.rfmatrix import rf_row_choices
 
@@ -507,6 +508,32 @@ class TestVerifyCommand:
             written = (tmp_path / f"{report['claim_id']}.json").read_text()
             assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
             assert json.loads(written) == report
+
+
+def test_second_call_leaves_no_parser_garbage(capsys):
+    main(["analyze", "5", "7"])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(["analyze", "5", "7"])
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+def test_wrapper_set_after_the_first_call_runs(capsys, monkeypatch, tmp_path):
+    # a tracer patches cmd_verify between passes of in-process calls
+    argv = ["verify", "--claim", "Prop3.1", "--s-max", "10", "--report-dir"]
+    assert main([*argv, str(tmp_path / "a")]) == 0
+    seen = []
+    unwrapped = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda args, argv: seen.append(argv) or unwrapped(args, argv))
+    assert main([*argv, str(tmp_path / "b")]) == 0
+    assert seen == [[*argv, str(tmp_path / "b")]]
 
 
 def test_module_entrypoint_subprocess(tmp_path):

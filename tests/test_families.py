@@ -3,7 +3,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from arfrf import families
 from arfrf.errors import InvalidFamily, NotPseudoFrobenius
 from arfrf.families import (
     CLAIM_VARIANTS,
@@ -187,6 +190,22 @@ class TestAgainstEnumeration:
         assert all(m[4] == (0, 3, 0, 0, -1) for m in enum_only)
         clean = FamilySpec("m5_4a", s=14)
         assert self._diff(clean, 13) == (set(), set())
+
+
+# 1-4 templates of 1-3 rows over a three-row pool: rows overlap and repeat, and may be empty
+_TEMPLATES = st.lists(
+    st.lists(st.lists(st.sampled_from([(0,), (1,), (2,)]), max_size=4), min_size=1, max_size=3),
+    min_size=1, max_size=4,
+)
+
+
+class TestUnionSize:
+    @given(_TEMPLATES)
+    @example([[[(0,), (1,)], [(2,)]], [[(1,), (1,)], [(2,), (0,)]], [[], [(0,)]]])
+    @example([[[(0,)]], [[(0,)], [(1,)]]])  # row counts differ: the products never meet
+    @settings(max_examples=300, deadline=None)
+    def test_inclusion_exclusion_counts_the_expansion(self, templates):
+        assert families._union_size(templates) == len(families._expand(templates))
 
 
 class TestInstances:

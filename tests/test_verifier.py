@@ -17,6 +17,7 @@ from arfrf.rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
+    rf_rows,
 )
 from arfrf.semigroup import from_generators
 from arfrf.verifier import (
@@ -361,6 +362,67 @@ class TestClaims:
         assert aggregate_ok(reports)
         reports[0]["status"] = "fail"
         assert not aggregate_ok(reports)
+
+
+class TestRowLevelTableCheck:
+    """``_table_is_rf`` against the matrix-set comparison it replaced, kept here as the oracle."""
+
+    @staticmethod
+    def _sets_equal(sg, f, templates):
+        return set(iter_rf_matrices(sg, f)) == set(families._expand(templates))
+
+    def test_agrees_with_matrix_sets_on_the_quick_grid(self):
+        verdicts = []
+        for variant in families.M_LE_5_VARIANTS:
+            for spec in families.family_instances(variant, verifier.SUITES["quick"]["s_max"]):
+                sg = families.build_family(spec)
+                for f, templates in families.closed_form_templates(spec).items():
+                    verdict = verifier._table_is_rf(templates, rf_rows(sg, f))
+                    assert verdict == self._sets_equal(sg, f, templates), (spec, f)
+                    verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    @staticmethod
+    def _rows(f):
+        # <5, 16, 17, 18, 19>: RF(14) has row lists of lengths 1, 1, 1, 2, 2 and RF(11) of 1s
+        rows = rf_rows(families.build_family(families.FamilySpec("m5_0b", s=15)), f)
+        return [list(choices) for choices in rows]
+
+    def test_row_outside_its_list_mismatches(self):
+        rows = self._rows(14)
+        assert verifier._table_is_rf([rows], rows)
+        stray = [[(-1, 0, 0, 0, 2)], *rows[1:]]  # degree 2*19 - 5, not 14
+        assert not verifier._table_is_rf([stray], rows)
+
+    def test_template_one_row_short_mismatches(self):
+        rows = self._rows(11)
+        assert [len(choices) for choices in rows] == [1] * 5
+        # each of its rows lies in the matching list and its one matrix matches the count
+        assert not verifier._table_is_rf([rows[:-1]], rows)
+
+    def test_overlapping_templates_covering_rf_pass(self):
+        rows = self._rows(14)
+        assert [len(choices) for choices in rows] == [1, 1, 1, 2, 2]
+        narrowed = [*rows[:3], rows[3][:1], rows[4]]
+        assert verifier._table_is_rf([narrowed, rows], rows)
+        assert not verifier._table_is_rf([narrowed], rows)
+
+    def test_union_one_matrix_short_mismatches(self):
+        rows = self._rows(14)
+        first = [*rows[:3], rows[3][:1], rows[4]]
+        second = [*rows[:4], rows[4][:1]]
+        # 2 + 2 - 1 of the 4 matrices, every row choice legal
+        assert len(families._expand([first, second])) == 3
+        assert not verifier._table_is_rf([first, second], rows)
+
+    def test_mismatch_example_built_once_per_locus(self, monkeypatch):
+        built = []
+        diff = verifier._closed_form_diff
+        monkeypatch.setattr(verifier, "_closed_form_diff",
+                            lambda sg, f, templates: built.append(f) or diff(sg, f, templates))
+        report = verify_claim("Prop3.6", QUICK)
+        assert len(built) == len(report["mismatches"]) > 0
+        assert sum(m["instances"] for m in report["mismatches"]) > len(built)
 
 
 class TestFixtures:
