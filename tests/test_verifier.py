@@ -394,6 +394,12 @@ class TestRowLevelTableCheck:
         stray = [[(-1, 0, 0, 0, 2)], *rows[1:]]  # degree 2*19 - 5, not 14
         assert not verifier._table_is_rf([stray], rows)
 
+    def test_template_with_an_empty_row_list_yields_nothing(self):
+        rows = self._rows(14)
+        # neither its stray row nor its row count can show in a union it adds no matrix to
+        assert verifier._table_is_rf([rows, [[(-1, 0, 0, 0, 2)], [], *rows[2:]]], rows)
+        assert verifier._table_is_rf([rows, [*rows, []]], rows)
+
     def test_template_one_row_short_mismatches(self):
         rows = self._rows(11)
         assert [len(choices) for choices in rows] == [1] * 5
