@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arfrf.cli import format_matrix
 from arfrf.errors import InvalidFamily
-from arfrf.families import FamilySpec, build_family, closed_form_table
+from arfrf.families import FamilySpec, build_family, closed_form_pf, closed_form_rf
 from arfrf.rfmatrix import determinant, rf_matrices
 
 
@@ -49,8 +49,8 @@ def main() -> int:
         return 2
     sg = build_family(spec)
     print(f"S = {sg}  conductor {sg.conductor}  F = {sg.frobenius}")
-    for f, matrices in closed_form_table(spec).items():
-        tabulated = set(matrices)
+    for f in closed_form_pf(spec):
+        tabulated = set(closed_form_rf(spec, f))
         enumerated = set(rf_matrices(sg, f))
         print(f"\nRF({f}): {len(tabulated)} tabulated, {len(enumerated)} enumerated")
         for matrix in sorted(enumerated | tabulated, reverse=True):

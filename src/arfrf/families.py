@@ -155,21 +155,14 @@ def closed_form_templates(spec: FamilySpec) -> dict[int, list[list[list[tuple[in
     return {f: table[f] for f in sorted(table)}
 
 
-def closed_form_table(spec: FamilySpec) -> dict[int, list[Matrix]]:
-    """{PF element: tabulated RF matrix list}, PF elements ascending.
-
-    The multiplicity <= 5 tables claim completeness; the one "med" formula
-    matrix per PF element is only one member of the full enumeration.
-    """
-    return {f: _expand(templates) for f, templates in closed_form_templates(spec).items()}
-
-
 def closed_form_rf(spec: FamilySpec, f: int) -> list[Matrix]:
-    """The tabulated RF matrix list for PF element ``f`` of this family."""
-    table = closed_form_table(spec)
+    """The tabulated RF matrix list for PF element ``f`` of this family: its
+    templates expanded. The multiplicity <= 5 tables claim completeness; the
+    one "med" formula matrix per PF element is only one member of RF(f)."""
+    table = closed_form_templates(spec)
     if f not in table:
         raise NotPseudoFrobenius(f, tuple(table))
-    return table[f]
+    return _expand(table[f])
 
 
 def _med_matrix(m: int, s: int, k: int) -> Matrix:

@@ -49,8 +49,9 @@ def is_rf_matrix(sg: NumericalSemigroup, f: int, rows: Sequence[Sequence[int]]) 
 def rf_row_choices(sg: NumericalSemigroup, f: int) -> RowChoices:
     """Per-row candidate lists: row i lists the factorizations of f + n_i over
     the other generators, lexicographically decreasing, with -1 written at i."""
-    if not sg.is_pseudo_frobenius(f):
-        raise NotPseudoFrobenius(f, sg.pseudo_frobenius())
+    pf = sg.pseudo_frobenius()
+    if f not in pf:
+        raise NotPseudoFrobenius(f, pf)
     gens = sg.generators
     return [
         [v[:i] + (-1,) + v[i:] for v in factorization_vectors(gens[:i] + gens[i + 1 :], f + n)]

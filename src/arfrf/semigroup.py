@@ -1,12 +1,13 @@
 """Numerical semigroups and their classical invariants, all in exact arithmetic.
 
-A semigroup is built once from a generator set, in O(m e) for multiplicity m
-and e input generators: one round-robin pass gives the Apéry table modulo m
-and the minimal system. After that an instance is immutable but for one
-write-once cache, where ``rfmatrix.rf_rows`` keeps RF(f)'s row lists for as
-long as the instance lives. Queries are pure; a cache entry is stored whole
-and never changed, and its lists are shared, so no reader may change them.
-A copy or an unpickled instance starts with an empty cache. Membership is
+A semigroup is its minimal generators and its Apéry table modulo the
+multiplicity m, built once from a generator set in O(m e) for e input
+generators by one round-robin pass; m, e, F and c are derived from those two.
+After that an instance is immutable but for two write-once caches, kept for
+as long as it lives: PF(S), filled by the first ``pseudo_frobenius()`` call,
+and ``rf_row_cache``, where ``rfmatrix.rf_rows`` keeps RF(f)'s row lists. A
+cache entry is stored whole and never changed, so no reader may change it. A
+copy or an unpickled instance starts with both caches empty. Membership is
 one table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests
 the m Apéry candidates. The Arf test and the Arf closure both read the
 multiplicity sequence.
@@ -14,27 +15,27 @@ multiplicity sequence.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 from typing import Iterable
 
 from .errors import NotNumerical
 
 
-_FIELDS = ("generators", "multiplicity", "embedding_dimension", "frobenius", "conductor",
-           "apery_table")
+_SHOWN = ("generators", "multiplicity", "embedding_dimension", "frobenius", "conductor")
 
 
 class NumericalSemigroup:
-    """A numerical semigroup with its cached invariants.
+    """A numerical semigroup, defined by its minimal generators and Apéry table.
 
     ``apery_table[i]`` is the least element congruent to i modulo the
-    multiplicity; every membership question reduces to one table lookup.
-    Equality and hash read ``generators`` only; the repr shows the five
-    fields before ``apery_table``. Assigning or deleting an attribute raises
-    AttributeError.
+    multiplicity, so membership is one table lookup; the other four fields
+    derive from these two. Equality and hash read ``generators`` only; the
+    repr shows the five fields before ``apery_table``, and neither cache.
+    Assigning or deleting an attribute raises AttributeError.
     """
 
-    __slots__ = (*_FIELDS, "rf_row_cache")
+    __slots__ = (*_SHOWN, "apery_table", "pf_cache", "rf_row_cache")
 
     generators: tuple[int, ...]
     multiplicity: int
@@ -42,18 +43,18 @@ class NumericalSemigroup:
     frobenius: int
     conductor: int
     apery_table: tuple[int, ...]
-    # f -> RF(f)'s row lists, filled by rfmatrix.rf_rows; outside equality, hash and repr
-    rf_row_cache: dict
+    pf_cache: tuple[int, ...] | None  # PF(S) once pseudo_frobenius() has run
+    rf_row_cache: dict  # f -> RF(f)'s row lists, filled by rfmatrix.rf_rows
 
-    def __init__(self, generators, multiplicity, embedding_dimension, frobenius, conductor,
-                 apery_table) -> None:
+    def __init__(self, generators, apery_table) -> None:
         init = object.__setattr__
         init(self, "generators", generators)
-        init(self, "multiplicity", multiplicity)
-        init(self, "embedding_dimension", embedding_dimension)
-        init(self, "frobenius", frobenius)
-        init(self, "conductor", conductor)
+        init(self, "multiplicity", generators[0])
+        init(self, "embedding_dimension", len(generators))
+        init(self, "frobenius", max(apery_table) - self.multiplicity)  # -1 for S = N
+        init(self, "conductor", self.frobenius + 1)
         init(self, "apery_table", apery_table)
+        init(self, "pf_cache", None)
         init(self, "rf_row_cache", {})
 
     def __setattr__(self, name, value):
@@ -71,11 +72,11 @@ class NumericalSemigroup:
         return hash(self.generators)
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS[:-1])
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SHOWN)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in _FIELDS)
+        return type(self), (self.generators, self.apery_table)
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.generators)) + ">"
@@ -100,11 +101,13 @@ class NumericalSemigroup:
         return f >= 1 and f not in self and all(f + n in self for n in self.generators)
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
-        """PF(S), sorted; its length is the type t(S). Every f in PF(S) has
-        f + m in the Apéry table, so only those m candidates are tested."""
-        m = self.multiplicity
-        candidates = (w - m for w in self.apery_table)
-        return tuple(sorted(f for f in candidates if self.is_pseudo_frobenius(f)))
+        """PF(S), sorted and kept after the first call; its length is the type
+        t(S). Every f in PF(S) has f + m in the Apéry table: m candidates."""
+        if self.pf_cache is None:
+            candidates = (w - self.multiplicity for w in self.apery_table)
+            pf = tuple(sorted(f for f in candidates if self.is_pseudo_frobenius(f)))
+            object.__setattr__(self, "pf_cache", pf)
+        return self.pf_cache
 
     def is_med(self) -> bool:
         """Maximal embedding dimension: e(S) == m(S)."""
@@ -144,8 +147,9 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     The input may be unsorted and contain duplicates or redundant generators;
     it is canonicalized to the unique minimal system. Raises NotNumerical when
-    the gcd is not 1. One round-robin pass over the sorted input builds the
-    Apéry table modulo m = min(gens) and the minimal system in O(m e).
+    the gcd is not 1, and ValueError when m = min(gens) is too large for a list
+    to hold its Apéry table. One round-robin pass over the sorted input builds
+    the Apéry table modulo m and the minimal system in O(m e).
     """
     cleaned = sorted(set(int(g) for g in gens))
     if not cleaned:
@@ -157,20 +161,11 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         g = gcd(g, x)
     if g != 1:
         raise NotNumerical(cleaned, g)
+    if cleaned[0] > sys.maxsize:  # no list holds that many entries
+        raise ValueError(f"multiplicity {cleaned[0]} is too large for an Apéry table")
 
-    m = cleaned[0]
     apery, minimal = _round_robin(cleaned)
-    frobenius = max(apery) - m  # equals -1 for S = N
-    conductor = frobenius + 1
-
-    sg = NumericalSemigroup(
-        generators=minimal,
-        multiplicity=m,
-        embedding_dimension=len(minimal),
-        frobenius=frobenius,
-        conductor=conductor,
-        apery_table=apery,
-    )
+    sg = NumericalSemigroup(minimal, apery)
     if sg.embedding_dimension > sg.multiplicity:  # pragma: no cover
         raise AssertionError(f"e(S) > m(S) for {sg}; construction bug")
     return sg

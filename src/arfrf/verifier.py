@@ -400,11 +400,11 @@ def _check_med_invariants(sg, spec):
 
 
 def _check_formula_rows(sg, spec):
-    table = families.closed_form_table(spec)
+    table = families.closed_form_templates(spec)
     problems = []
     for f, [formula] in table.items():
         rows = rf_rows(sg, f)
-        for i, row in enumerate(formula):
+        for i, [row] in enumerate(formula):
             if row not in rows[i]:
                 problem = f"formula row {i + 1} = {row} is not a valid row factorization"
                 problems.append({"f": f, "problem": problem})

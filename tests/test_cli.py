@@ -289,6 +289,15 @@ class TestEdgeCases:
         assert code == 0
         assert doc["payload"]["generic"] is True
 
+    @pytest.mark.parametrize("command", ["analyze", "rf", "generic", "relations", "closure"])
+    def test_multiplicity_beyond_a_list_exit_2(self, capsys, command):
+        # above sys.maxsize: refused before the Apéry table is allocated
+        huge = sys.maxsize + 2
+        code, out, err = run_cli(capsys, command, str(huge), str(huge + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: multiplicity {huge} is too large for an Apéry table\n"
+
     def test_grid_cap_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "verify", "--claim", "Prop3.1", "--s-max", "5000",

@@ -252,6 +252,14 @@ def test_rf_tables_bad_input_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("m4_2k", "10", "1"), ("m5_4a", "9"), ("med", "24", "6")])
+def test_rf_tables_output_is_pinned(argv):
+    proc = run_rf_tables(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    pinned = Path(__file__).resolve().parent / "data" / "rf_tables" / f"{'_'.join(argv)}.txt"
+    assert proc.stdout == pinned.read_text(encoding="utf-8")
+
+
 def test_rf_tables_shows_boundary_omission():
     proc = run_rf_tables("m5_4a", "9")
     assert proc.returncode == 0

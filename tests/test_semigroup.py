@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arfrf.errors import NotNumerical
-from arfrf.semigroup import from_generators
+from arfrf.semigroup import NumericalSemigroup, from_generators
 from arfrf.verifier import _reach_table, oracle_membership, oracle_pf
 
 
@@ -69,6 +69,16 @@ class TestConstruction:
     def test_unsorted_duplicated_input(self):
         assert from_generators([23, 4, 10, 4, 21]).generators == (4, 10, 21, 23)
 
+    def test_constructor_derives_the_other_four_fields(self):
+        sg = NumericalSemigroup((4, 10, 21, 23), (0, 21, 10, 23))
+        assert (sg.multiplicity, sg.embedding_dimension, sg.frobenius, sg.conductor) == (
+            4, 4, 19, 20)
+        assert repr(sg) == repr(from_generators([4, 10, 21, 23]))
+        naturals = NumericalSemigroup((1,), (0,))
+        assert (naturals.multiplicity, naturals.embedding_dimension, naturals.frobenius,
+                naturals.conductor) == (1, 1, -1, 0)
+        assert repr(naturals) == repr(from_generators([1]))
+
     def test_naturals(self):
         sg = from_generators([1])
         assert sg.frobenius == -1
@@ -106,10 +116,12 @@ class TestRecordSemantics:
     def test_row_cache_outside_equality_and_hash(self):
         sg, fresh = from_generators([5, 19, 21, 22, 23]), from_generators([5, 19, 21, 22, 23])
         sg.rf_row_cache[18] = ["rows"]
+        assert sg.pseudo_frobenius() == (14, 16, 17, 18) and sg.pf_cache == (14, 16, 17, 18)
         assert sg == fresh and hash(sg) == hash(fresh) and repr(sg) == repr(fresh)
-        assert fresh.rf_row_cache == {}
+        assert fresh.rf_row_cache == {} and fresh.pf_cache is None
 
-    @pytest.mark.parametrize("name", ["generators", "frobenius", "apery_table", "rf_row_cache"])
+    @pytest.mark.parametrize("name", ["generators", "frobenius", "apery_table", "pf_cache",
+                                      "rf_row_cache"])
     def test_assignment_and_deletion_raise(self, name):
         sg = from_generators([5, 19, 21, 22, 23])
         with pytest.raises(AttributeError):
@@ -121,10 +133,14 @@ class TestRecordSemantics:
     @pytest.mark.parametrize("clone", [lambda sg: pickle.loads(pickle.dumps(sg)), copy.copy,
                                        copy.deepcopy])
     def test_pickle_and_copy_round_trips(self, clone):
-        twin = clone(self.SG)
-        assert twin == self.SG and repr(twin) == repr(self.SG)
-        assert twin.apery_table == self.SG.apery_table
-        assert twin.pseudo_frobenius() == self.SG.pseudo_frobenius()
+        sg = from_generators([5, 19, 21, 22, 23])
+        sg.rf_row_cache[18] = ["rows"]
+        pf = sg.pseudo_frobenius()
+        twin = clone(sg)
+        assert twin == sg and repr(twin) == repr(sg)
+        assert twin.apery_table == sg.apery_table
+        assert twin.rf_row_cache == {} and twin.pf_cache is None
+        assert twin.pseudo_frobenius() == pf
 
 
 class TestMembership:

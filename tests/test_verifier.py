@@ -19,7 +19,7 @@ from arfrf.rfmatrix import (
     rf_matrix_count,
     rf_rows,
 )
-from arfrf.semigroup import from_generators
+from arfrf.semigroup import NumericalSemigroup, from_generators
 from arfrf.verifier import (
     CLAIMS,
     DEFAULT_SUITE,
@@ -608,6 +608,14 @@ class TestNongenericWitnessRecheck:
                 == "witness column entries differ")
 
 
+def assert_reports_match(report_dir, golden):
+    assert sorted(p.name for p in report_dir.iterdir()) == sorted(
+        p.name for p in golden.iterdir()
+    )
+    for path in golden.iterdir():
+        assert (report_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_golden_reports_byte_identical(tmp_path, capsys):
     """The default suite at the QUICK bounds reproduces the pinned reports."""
     data = Path(__file__).parent / "data"
@@ -615,9 +623,35 @@ def test_golden_reports_byte_identical(tmp_path, capsys):
                  "--report-dir", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
-    golden = data / "golden_quick"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        p.name for p in golden.iterdir()
-    )
-    for path in golden.iterdir():
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    assert_reports_match(tmp_path, data / "golden_quick")
+
+
+def test_golden_default_suite_byte_identical(tmp_path, capsys):
+    """``arfrf verify --suite default`` reproduces the pinned reports."""
+    code = main(["verify", "--suite", "default", "--report-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert_reports_match(tmp_path, Path(__file__).parent / "data" / "golden_default")
+
+
+def test_pseudo_frobenius_computed_once_per_instance(monkeypatch):
+    """PF(S) tests its m Apéry candidates once per walked instance, and no
+    reader re-tests an f it took from PF(S)."""
+    walked, callers, calls = [], [], {}
+    walk, test = verifier._instances, NumericalSemigroup.is_pseudo_frobenius
+
+    def recorded_walk(config, readers):
+        for instance in walk(config, readers):
+            walked.append(instance[1])
+            yield instance
+
+    def counted(sg, f):
+        callers.append(sg)  # kept alive, so no other semigroup reuses its id
+        calls[id(sg)] = calls.get(id(sg), 0) + 1
+        return test(sg, f)
+
+    monkeypatch.setattr(verifier, "_instances", recorded_walk)
+    monkeypatch.setattr(NumericalSemigroup, "is_pseudo_frobenius", counted)
+    verify_all(QUICK)
+    assert walked
+    assert [sg for sg in walked if calls.get(id(sg), 0) > sg.multiplicity] == []
