@@ -6,10 +6,10 @@ generators by one round-robin pass; m, e, F and c are derived from those two.
 After that an instance is immutable but for two write-once caches, kept for
 as long as it lives: PF(S), filled by the first ``pseudo_frobenius()`` call,
 and ``rf_row_cache``, where ``rfmatrix.rf_rows`` keeps RF(f)'s row lists. A
-cache entry is stored whole and never changed, so no reader may change it. A
-copy or an unpickled instance starts with both caches empty. Membership is
-one table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests
-the m Apéry candidates. The Arf test and the Arf closure both read the
+cache entry is stored whole and shared, so no reader may change it. A copy
+or an unpickled instance starts with both caches empty. Membership is one
+table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests the m
+Apéry candidates. The Arf test and the Arf closure both read the
 multiplicity sequence.
 """
 
