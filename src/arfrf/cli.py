@@ -160,16 +160,12 @@ def cmd_rf(args, argv) -> int:
     blocks = []
     lines = [f"S = {sg}   PF = {list(pf)}"]
     for f in targets:
-        if args.count_only:
-            count = rf_matrix_count(sg, f)
-        else:
-            _check_cap(sg, f, args.max_rf)
-            matrices = rf_matrices(sg, f)
-            count = len(matrices)
+        count = rf_matrix_count(sg, f)
         block: dict = {"pf_element": f, "count": count}
         lines.append(f"RF({f}): {count} {'matrix' if count == 1 else 'matrices'}")
         if not args.count_only:
-            block["matrices"] = matrices
+            _check_cap(sg, f, args.max_rf)
+            matrices = block["matrices"] = rf_matrices(sg, f)
             if args.dets:
                 block["determinants"] = [determinant(M) for M in matrices]
             for idx, M in enumerate(matrices):
@@ -206,36 +202,29 @@ def cmd_rf(args, argv) -> int:
 def cmd_generic(args, argv) -> int:
     sg = from_generators(args.generators)
     verdict = is_generic(sg)
+    lines = [
+        f"S = {sg}",
+        f"generic: {'yes' if verdict.generic else 'no'}",
+        f"witness: {verdict.describe()}",
+    ]
     witness: dict | str
     if verdict.generic:
         witness = "all criteria passed"
     elif verdict.nonunique is not None:
         f, m1, m2 = verdict.nonunique
         witness = {"pf_element": f, "matrices": [m1, m2]}
+        for m in (m1, m2):
+            lines.extend("  " + row for row in format_matrix(m))
+            lines.append("")
     else:
         f, matrix, i, i2, j = verdict.column_clash
-        witness = {
-            "pf_element": f,
-            "matrix": matrix,
-            "rows": [i + 1, i2 + 1],
-            "column": j + 1,
-        }
+        witness = {"pf_element": f, "matrix": matrix, "rows": [i + 1, i2 + 1], "column": j + 1}
+        lines.extend("  " + row for row in format_matrix(matrix))
     payload = {
         "generators": list(sg.generators),
         "generic": verdict.generic,
         "witness": witness,
     }
-    lines = [
-        f"S = {sg}",
-        f"generic: {'yes' if verdict.generic else 'no'}",
-        f"witness: {verdict.describe()}",
-    ]
-    if not verdict.generic and verdict.nonunique is not None:
-        for m in verdict.nonunique[1:]:
-            lines.extend("  " + row for row in format_matrix(m))
-            lines.append("")
-    elif not verdict.generic:
-        lines.extend("  " + row for row in format_matrix(verdict.column_clash[1]))
     _emit(argv, payload, args.format, lines)
     return 0 if verdict.generic else 1
 
@@ -454,15 +443,9 @@ def main(argv=None) -> int:
         # the reader is gone: send the rest, and the flush at exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except NotPseudoFrobenius as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TooManyMatrices as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (ValueError, ArfrfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return {NotPseudoFrobenius: 3, TooManyMatrices: 5}.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Parametrized Arf semigroup families and their tabulated closed-form RF matrices.
 
 Variant tags encode multiplicity and the conductor's residue class. Each
-multiplicity <= 5 variant is one row of ``VARIANTS``: its multiplicity, the
-residue and least value of its conductor, its generator pattern, the builder
-of its closed-form RF table and, for the two 4k+2 variants, the largest k.
+multiplicity <= 5 variant is one row of ``VARIANTS``: its multiplicity, its
+least conductor (so its residue class), its generator pattern, the builder of
+its closed-form RF table and, for the two 4k+2 variants, the largest k.
 The RF table maps every PF element to its RF matrix list as tabulated, so the
 predicted PF set is read off its keys. The "med" variant, whose multiplicity
 is part of the spec, has its own formulas. A ``FamilySpec`` names one instance
@@ -61,10 +61,9 @@ class FamilySpec(namedtuple("FamilySpec", ("variant", "s", "k", "m"))):
         if row is None:
             raise InvalidFamily(f"unknown family variant {variant!r}")
         _need(m in (None, row.m), f"variant {variant} has multiplicity {row.m}, got m={m}")
-        _need(
-            s >= row.least_s and s % row.m == row.residue,
-            f"{variant} needs s >= {row.least_s} with s % {row.m} == {row.residue}, got s={s}",
-        )
+        residue = row.least_s % row.m
+        _need(s >= row.least_s and s % row.m == residue,
+              f"{variant} needs s >= {row.least_s} with s % {row.m} == {residue}, got s={s}")
         if row.k_max is None:
             _need(k is None, f"variant {variant} takes no k")
         else:
@@ -103,17 +102,9 @@ def closed_form_pf(spec: FamilySpec) -> tuple[int, ...]:
 
 
 def pf_label(spec: FamilySpec, f: int) -> str:
-    """Stable label of a tabulated PF element relative to the conductor (e.g.
-    "s-1", "4k-2"); NotPseudoFrobenius for any other f."""
-    pf = closed_form_pf(spec)
-    if f not in pf:
-        raise NotPseudoFrobenius(f, pf)
-    return _label(spec, f)
-
-
-def _label(spec: FamilySpec, f: int) -> str:
-    """``pf_label`` for an f the caller took from ``closed_form_templates(spec)``,
-    so the table is not built a second time to check it."""
+    """Stable label of a PF element relative to the conductor (e.g. "s-1",
+    "4k-2"). ``f`` must be a key of ``closed_form_templates(spec)``: it is not
+    checked, so the table is not built a second time."""
     if spec.k is not None and f == 4 * spec.k - 2:
         return "4k-2"
     return f"s-{spec.s - f}"
@@ -582,14 +573,13 @@ def _m5_4b(s, k):
 class Variant(NamedTuple):
     """One multiplicity <= 5 variant as tabulated.
 
-    Legal conductors are s >= ``least_s`` with s % ``m`` == ``residue``; the
-    two 4k+2 variants also take 1 <= k <= ``k_max(s)``. ``generators(s, k)``
+    Legal conductors are s >= ``least_s`` with s congruent to ``least_s``
+    modulo ``m``; the two 4k+2 variants also take 1 <= k <= ``k_max(s)``. ``generators(s, k)``
     is the generator pattern and ``rf_table(s, k)`` maps each PF element to
     its closed-form templates.
     """
 
     m: int
-    residue: int
     least_s: int
     generators: Callable[[int, int | None], tuple[int, ...]]
     rf_table: Callable[[int, int | None], dict[int, list]]
@@ -601,19 +591,19 @@ def _m4_k_generators(s, k):
 
 
 VARIANTS = {
-    "m2": Variant(2, 0, 2, lambda s, k: (2, s + 1), _m2),
-    "m3_0": Variant(3, 0, 3, lambda s, k: (3, s + 1, s + 2), _m3_0),
-    "m3_2": Variant(3, 2, 5, lambda s, k: (3, s, s + 2), _m3_2),
-    "m4_0k": Variant(4, 0, 8, _m4_k_generators, partial(_m4_k, b3=2), lambda s: s // 4 - 1),
-    "m4_0full": Variant(4, 0, 4, lambda s, k: (4, s + 1, s + 2, s + 3), _m4_0full),
-    "m4_2k": Variant(4, 2, 6, _m4_k_generators, partial(_m4_k, b3=1), lambda s: (s - 2) // 4),
-    "m4_3": Variant(4, 3, 7, lambda s, k: (4, s, s + 2, s + 3), _m4_3),
-    "m5_0a": Variant(5, 0, 10, lambda s, k: (5, s - 2, s + 1, s + 2, s + 4), _m5_0a),
-    "m5_0b": Variant(5, 0, 5, lambda s, k: (5, s + 1, s + 2, s + 3, s + 4), _m5_0b),
-    "m5_2": Variant(5, 2, 7, lambda s, k: (5, s, s + 1, s + 2, s + 4), _m5_2),
-    "m5_3": Variant(5, 3, 8, lambda s, k: (5, s, s + 1, s + 3, s + 4), _m5_3),
-    "m5_4a": Variant(5, 4, 9, lambda s, k: (5, s - 2, s, s + 2, s + 4), _m5_4a),
-    "m5_4b": Variant(5, 4, 9, lambda s, k: (5, s, s + 2, s + 3, s + 4), _m5_4b),
+    "m2": Variant(2, 2, lambda s, k: (2, s + 1), _m2),
+    "m3_0": Variant(3, 3, lambda s, k: (3, s + 1, s + 2), _m3_0),
+    "m3_2": Variant(3, 5, lambda s, k: (3, s, s + 2), _m3_2),
+    "m4_0k": Variant(4, 8, _m4_k_generators, partial(_m4_k, b3=2), lambda s: s // 4 - 1),
+    "m4_0full": Variant(4, 4, lambda s, k: (4, s + 1, s + 2, s + 3), _m4_0full),
+    "m4_2k": Variant(4, 6, _m4_k_generators, partial(_m4_k, b3=1), lambda s: (s - 2) // 4),
+    "m4_3": Variant(4, 7, lambda s, k: (4, s, s + 2, s + 3), _m4_3),
+    "m5_0a": Variant(5, 10, lambda s, k: (5, s - 2, s + 1, s + 2, s + 4), _m5_0a),
+    "m5_0b": Variant(5, 5, lambda s, k: (5, s + 1, s + 2, s + 3, s + 4), _m5_0b),
+    "m5_2": Variant(5, 7, lambda s, k: (5, s, s + 1, s + 2, s + 4), _m5_2),
+    "m5_3": Variant(5, 8, lambda s, k: (5, s, s + 1, s + 3, s + 4), _m5_3),
+    "m5_4a": Variant(5, 9, lambda s, k: (5, s - 2, s, s + 2, s + 4), _m5_4a),
+    "m5_4b": Variant(5, 9, lambda s, k: (5, s, s + 2, s + 3, s + 4), _m5_4b),
 }
 
 M_LE_5_VARIANTS = tuple(VARIANTS)

@@ -15,12 +15,12 @@ multiplicity sequence.
 
 from __future__ import annotations
 
-import sys
 from math import gcd
 from typing import Iterable
 
 from .errors import NotNumerical
 
+MAX_MULTIPLICITY = 10**6  # building an Apéry table takes about 62 bytes per entry
 
 _SHOWN = ("generators", "multiplicity", "embedding_dimension", "frobenius", "conductor")
 
@@ -147,21 +147,19 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     The input may be unsorted and contain duplicates or redundant generators;
     it is canonicalized to the unique minimal system. Raises NotNumerical when
-    the gcd is not 1, and ValueError when m = min(gens) is too large for a list
-    to hold its Apéry table. One round-robin pass over the sorted input builds
-    the Apéry table modulo m and the minimal system in O(m e).
+    the gcd is not 1, and ValueError, before any allocation, when m = min(gens)
+    is above ``MAX_MULTIPLICITY`` (10**6). One round-robin pass over the sorted
+    input builds the Apéry table modulo m and the minimal system in O(m e).
     """
     cleaned = sorted(set(int(g) for g in gens))
     if not cleaned:
         raise ValueError("generator set must be non-empty")
     if cleaned[0] < 1:
         raise ValueError(f"generators must be positive integers, got {cleaned[0]}")
-    g = 0
-    for x in cleaned:
-        g = gcd(g, x)
+    g = gcd(*cleaned)
     if g != 1:
         raise NotNumerical(cleaned, g)
-    if cleaned[0] > sys.maxsize:  # no list holds that many entries
+    if cleaned[0] > MAX_MULTIPLICITY:
         raise ValueError(f"multiplicity {cleaned[0]} is too large for an Apéry table")
 
     apery, minimal = _round_robin(cleaned)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from functools import partial, reduce
+from functools import partial
 from importlib import resources
 from itertools import islice, product
 from math import gcd, prod
@@ -254,7 +254,7 @@ def sample_arf_closures(count: int, multiplicities, seed: int) -> Iterator[Numer
         m = multiplicities[rng.randrange(len(multiplicities))]
         extras = {rng.randint(m + 1, MAX_GENERATOR) for _ in range(rng.randint(2, 4))}
         gens = sorted({m, *extras})
-        if reduce(gcd, gens) != 1:
+        if gcd(*gens) != 1:
             continue
         sg = from_generators(gens).arf_closure()
         if sg.generators not in seen:
@@ -269,7 +269,7 @@ def random_semigroups(count: int, seed: int):
     while len(out) < count:
         e = rng.randint(2, MAX_EMBEDDING_DIMENSION)
         gens = sorted({rng.randint(2, MAX_GENERATOR) for _ in range(e)})
-        if len(gens) < 2 or reduce(gcd, gens) != 1:
+        if len(gens) < 2 or gcd(*gens) != 1:
             continue
         out.append(tuple(gens))
     return out
@@ -376,7 +376,7 @@ def _check_closed_form(sg, spec):
     if pf != tuple(table):
         problem = "pseudo-Frobenius set differs from the table"
         return 0, [{"problem": problem, "computed": list(pf), "tabulated": list(table)}]
-    problems = [{"locus": (spec.variant, families._label(spec, f)),
+    problems = [{"locus": (spec.variant, families.pf_label(spec, f)),
                  "example": partial(_closed_form_diff, sg, f, table[f])}
                 for f in pf if not _table_is_rf(table[f], rf_rows(sg, f))]
     return len(pf), problems

@@ -12,6 +12,7 @@ import pytest
 from arfrf import cli, families, rfmatrix, verifier
 from arfrf.cli import build_parser, main, render_binomial, render_monomial
 from arfrf.rfmatrix import rf_row_choices
+from arfrf.semigroup import MAX_MULTIPLICITY
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -288,6 +289,15 @@ class TestEdgeCases:
         code, doc, _ = run_json(capsys, "generic", "1")
         assert code == 0
         assert doc["payload"]["generic"] is True
+
+    @pytest.mark.parametrize("command", ["analyze", "rf", "generic", "relations", "closure"])
+    def test_multiplicity_above_the_cap_exit_2(self, capsys, command):
+        # one above MAX_MULTIPLICITY: refused before the Apéry table is allocated
+        huge = MAX_MULTIPLICITY + 1
+        code, out, err = run_cli(capsys, command, str(huge), str(huge + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: multiplicity {huge} is too large for an Apéry table\n"
 
     @pytest.mark.parametrize("command", ["analyze", "rf", "generic", "relations", "closure"])
     def test_multiplicity_beyond_a_list_exit_2(self, capsys, command):

@@ -39,11 +39,14 @@ COMMANDS = [
     "rf 9 25 31 33 39 --witness",
     "generic 3 7 8",
     "rf 10 31 32 33 34 35 36 37 38 39 --count-only",
+    # the cap bounds a listing, not a count
+    "rf 5 19 21 22 23 --pf 18 --count-only --max-rf 0",
     # S = N: F(S) = -1, so the witness scans and genericity build no row choices
     "rf 1 2 --witness",
     "generic 1",
-    # errors: exit 3, 3, 5, 3, 5, 2, 4, 4, 4
+    # errors: exit 3, 3, 3, 5, 3, 5, 2, 4, 4, 4; an f outside PF(S) exits 3 before the cap is read
     "rf 2 5 --pf 4",
+    "rf 2 5 --pf 4 --max-rf 0",
     "rf 1 --pf 0",
     "rf 5 19 21 22 23 --pf 18 --max-rf 2",
     "relations 1",

@@ -16,9 +16,11 @@ from arfrf.families import (
     closed_form_pf,
     closed_form_rf,
     family_instances,
+    med_instances,
     pf_label,
 )
 from arfrf.rfmatrix import determinant, iter_rf_matrices, rf_row_choices
+from arfrf.verifier import VerifyConfig
 
 
 class TestBuild:
@@ -114,14 +116,18 @@ class TestClosedForms:
         with pytest.raises(NotPseudoFrobenius):
             closed_form_rf(spec, 8)
 
-    @pytest.mark.parametrize(
-        "spec, f",
-        [(FamilySpec("m2", s=10), 3), (FamilySpec("m5_0b", s=20), 12),
-         (FamilySpec("m4_2k", s=10, k=2), 8), (FamilySpec("med", s=24, m=6), 10)],
-    )
-    def test_pf_label_rejects_untabulated_values(self, spec, f):
-        with pytest.raises(NotPseudoFrobenius, match=f"^{f} is not a pseudo-Frobenius number"):
-            pf_label(spec, f)
+    def test_pf_labels_distinct_over_the_default_grid(self):
+        # mismatch loci are keyed by (variant, label): two PF elements of one
+        # instance with one label would merge into a single locus
+        config = VerifyConfig()
+        specs = [spec for variant in M_LE_5_VARIANTS
+                 for spec in family_instances(variant, config.s_max)]
+        for m in range(config.med_m_min, config.med_m_max + 1):
+            specs += med_instances(m, range(m, config.med_s_factor * m + 1, m))
+        assert len(specs) == 3066
+        for spec in specs:
+            pf = closed_form_pf(spec)
+            assert len({pf_label(spec, f) for f in pf}) == len(pf), spec
 
     def test_med_rows_are_valid_factorizations(self):
         spec = FamilySpec("med", s=35, m=7)
