@@ -574,9 +574,9 @@ class Variant(NamedTuple):
     """One multiplicity <= 5 variant as tabulated.
 
     Legal conductors are s >= ``least_s`` with s congruent to ``least_s``
-    modulo ``m``; the two 4k+2 variants also take 1 <= k <= ``k_max(s)``. ``generators(s, k)``
-    is the generator pattern and ``rf_table(s, k)`` maps each PF element to
-    its closed-form templates.
+    modulo ``m``; the two 4k+2 variants also take 1 <= k <= ``k_max(s)``.
+    ``generators(s, k)`` is the generator pattern and ``rf_table(s, k)`` maps
+    each PF element to its closed-form templates.
     """
 
     m: int
