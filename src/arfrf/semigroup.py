@@ -9,8 +9,8 @@ and ``rf_row_cache``, where ``rfmatrix.rf_rows`` keeps RF(f)'s row lists. A
 cache entry is stored whole and shared, so no reader may change it. A copy
 or an unpickled instance starts with both caches empty. Membership is one
 table lookup, the pseudo-Frobenius test is e of them, and PF(S) tests the m
-Apéry candidates. The Arf test and the Arf closure both read the
-multiplicity sequence.
+Apéry candidates. The Arf closure is written down from the partial sums of
+the multiplicity sequence, and S is Arf iff it equals its closure.
 """
 
 from __future__ import annotations
@@ -118,28 +118,35 @@ class NumericalSemigroup:
         return by_count
 
     def is_arf(self) -> bool:
-        """S is Arf iff it has the genus of Arf(S), read off the multiplicity sequence."""
-        if not self.is_med():  # every Arf semigroup has maximal embedding dimension
-            return False
-        runs = _multiplicity_sequence(self.generators)
-        return sum((a - 1) * q for a, q in runs) == self.genus()  # S lies inside Arf(S)
+        """Arf iff S = Arf(S); Arf implies MED, so a non-MED S skips the closure."""
+        return self.is_med() and self == self.arf_closure()
 
     def arf_closure(self) -> "NumericalSemigroup":
         """Smallest Arf numerical semigroup containing this one.
 
-        Its elements below the conductor c = m_1 + ... + m_k are the partial
-        sums 0, m_1, m_1 + m_2, ... of the multiplicity sequence m_1, ..., m_k.
-        In a run of q multiplicities a from partial sum P, P + k a for k > m = m_1
-        is P + (k - m) a plus m a, an element, so each run adds at most m sums.
+        Lipman's recursion Arf(<A>) = {0} u (a + Arf(<a, A - a>)), a = min A,
+        run as a loop down to N, gives the multiplicity sequence m = m_1, ...,
+        m_k; below c = m_1 + ... + m_k the closure holds just the partial sums
+        0, m_1, m_1 + m_2, .... Redundant generators are harmless: g - a stays
+        in <a, A - a>. While the next-smallest b is at least 2a, a stays least,
+        so q = (b - a) // a steps are taken at once: <2, N> takes two runs, not
+        N/2. In a run of q multiplicities a from partial sum P, P + k a for
+        k > m is P + (k - m) a plus m a, so each run adds at most m sums. An Arf
+        semigroup has maximal embedding dimension: its minimal generators are m
+        and its nonzero Apéry entries.
         """
-        runs = _multiplicity_sequence(self.generators)
-        if not runs:  # S = N
-            return self
-        m, p, sums = runs[0][0], 0, []
-        for a, q in runs:
+        m, p, sums = self.multiplicity, 0, [0]
+        current = set(self.generators)
+        while (a := min(current)) != 1:
+            b = min(current - {a})  # gcd(A) = 1, so A != {a}
+            q = max(1, (b - a) // a)
             sums.extend(range(p + a, p + min(q, m) * a + 1, a))
             p += a * q
-        return from_generators([*sums, *range(p, p + m)])
+            current = {a} | {g - q * a for g in current if g != a}
+        apery = [p + (i - p) % m for i in range(m)]  # class i's member of [c, c + m)
+        for n in reversed(sums):  # the least sum in each class is written last
+            apery[n % m] = n
+        return NumericalSemigroup((m, *sorted(apery[1:])), tuple(apery))
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
@@ -202,22 +209,3 @@ def _round_robin(gens: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 n = min(n, table[r])
                 table[r] = n
     return tuple(table), tuple(minimal)
-
-
-def _multiplicity_sequence(gens: Iterable[int]) -> list[tuple[int, int]]:
-    """Multiplicities of <A>, <a, A - a>, ... (a = min A) until the semigroup
-    is N, as (multiplicity, repeats) runs.
-
-    Lipman's recursion Arf(<A>) = {0} u (a + Arf(<a, A - a>)), run as a loop.
-    Redundant generators are harmless: g - a stays in <a, A - a>. While the
-    next-smallest element b stays at least 2a, a stays the least element, so
-    q = (b - a) // a steps are taken at once: <2, N> takes two runs, not N/2
-    steps.
-    """
-    current, runs = set(gens), []
-    while (a := min(current)) != 1:
-        b = min(g for g in current if g != a)  # gcd(A) = 1, so A != {a}
-        q = max(1, (b - a) // a)
-        runs.append((a, q))
-        current = {a} | {g - q * a for g in current if g != a}
-    return runs

@@ -677,9 +677,9 @@ def verify_claim(claim_id: str, config: VerifyConfig | None = None) -> dict:
 
 
 def check_request(config: VerifyConfig, claim_ids=None) -> tuple[tuple[str, ...], list[dict]]:
-    """The claim ids to run (the default suite when None), each registered, and the
-    fixtures ``config`` names; raises before any instance is built."""
-    claim_ids = DEFAULT_SUITE if claim_ids is None else tuple(claim_ids)
+    """The distinct claim ids to run in first-seen order (the default suite when None),
+    each registered, and the fixtures ``config`` names; raises before any instance is built."""
+    claim_ids = DEFAULT_SUITE if claim_ids is None else tuple(dict.fromkeys(claim_ids))
     for cid in claim_ids:
         if cid not in CLAIMS:
             raise UnknownClaim(f"unknown claim id {cid!r}; known: {sorted(CLAIMS)}")
@@ -689,14 +689,14 @@ def check_request(config: VerifyConfig, claim_ids=None) -> tuple[tuple[str, ...]
 def verify_all(config: VerifyConfig | None = None, claim_ids=None) -> list[dict]:
     """Run a claim list (default suite when None) in one walk; an empty list runs nothing.
 
-    Returns one report document per claim, in list order: the dict that
-    ``arfrf verify`` writes as JSON, with the keys claim_id, description, grid,
-    status, checked, mismatches, counterexamples and notes, in that order.
-    ``check_request`` checks every claim id and the fixtures before the first
-    instance is built; the config checked its own bounds when it was built.
-    On each instance each distinct check runs once, for every claim whose
-    grid names the instance's source, so a claim's report equals that of the
-    claim alone. The checks on one instance share the row lists it keeps.
+    Returns one report document per distinct claim, in first-seen order, as a repeat
+    would run twice but write one file: the dict ``arfrf verify`` writes as JSON, with
+    the keys claim_id, description, grid, status, checked, mismatches, counterexamples
+    and notes, in that order. ``check_request`` checks every claim id and the fixtures
+    before the first instance is built; the config checked its own bounds when it was
+    built. On each instance each distinct check runs once, for every claim whose grid
+    names the instance's source, so a claim's report equals that of the claim alone.
+    The checks on one instance share the row lists it keeps.
     """
     config = config or VerifyConfig()
     claim_ids, fixtures = check_request(config, claim_ids)

@@ -340,6 +340,20 @@ class TestEdgeCases:
         ids = [c["claim_id"] for c in doc["payload"]["summary"]["claims"]]
         assert ids == ["Prop3.2", "Prop3.1"]
 
+    def test_a_repeated_claim_runs_once(self, capsys, tmp_path):
+        # one report file per claim id: a repeat would run twice and be listed twice
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("claims = Cor4.3, Cor4.3\nmed_m_max = 6\n")
+        for args in (["--claim", "Cor4.3", "--claim", "Cor4.3", "--m-max", "6"],
+                     ["--config", str(cfg)]):
+            report_dir = tmp_path / args[0].strip("-")
+            code, doc, _ = run_json(capsys, "verify", *args, "--report-dir", str(report_dir))
+            assert code == 0
+            summary = json.loads((report_dir / "summary.json").read_text())
+            assert summary == doc["payload"]["summary"]
+            assert [c["claim_id"] for c in summary["claims"]] == ["Cor4.3"]
+            assert sorted(p.name for p in report_dir.iterdir()) == ["Cor4.3.json", "summary.json"]
+
 
 class TestVerifyCommand:
     def test_single_claim(self, capsys, tmp_path):

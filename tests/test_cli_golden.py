@@ -39,6 +39,9 @@ COMMANDS = [
     "rf 9 25 31 33 39 --witness",
     "generic 3 7 8",
     "rf 10 31 32 33 34 35 36 37 38 39 --count-only",
+    # closures whose multiplicity sequence has runs longer than m, or repeats a multiplicity
+    "closure 5 38 39 45 161",
+    "closure 6 9 20",
     # the cap bounds a listing, not a count
     "rf 5 19 21 22 23 --pf 18 --count-only --max-rf 0",
     # S = N: F(S) = -1, so the witness scans and genericity build no row choices

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arfrf import semigroup, verifier
 from arfrf.errors import NotNumerical
 from arfrf.semigroup import NumericalSemigroup, from_generators
 from arfrf.verifier import _reach_table, oracle_membership, oracle_pf
@@ -326,6 +327,23 @@ def _definitional_arf_closure(sg):
         sg = from_generators(sg.generators + tuple(missing))
 
 
+def _arf_closure_through_generators(sg):
+    """Reference closure of S != N, built as it was before its Apéry table was
+    written down: the multiplicity sequence's positive partial sums below c, each
+    run cut at m terms, and [c, c + m), passed through from_generators."""
+    current, runs = set(sg.generators), []
+    while (a := min(current)) != 1:
+        b = min(g for g in current if g != a)
+        q = max(1, (b - a) // a)
+        runs.append((a, q))
+        current = {a} | {g - q * a for g in current if g != a}
+    m, p, sums = sg.multiplicity, 0, []
+    for a, q in runs:
+        sums.extend(range(p + a, p + min(q, m) * a + 1, a))
+        p += a * q
+    return from_generators([*sums, *range(p, p + m)])
+
+
 class TestArfClosure:
     def test_fixpoint_for_arf_input(self):
         sg = from_generators([3, 5, 7])
@@ -359,6 +377,40 @@ class TestArfClosure:
             reference.generators, reference.apery_table
         )
         assert sg.is_arf() == (sg == reference)
+
+    def test_matches_the_generator_pass_on_the_default_suite_inputs(self, monkeypatch):
+        drawn = []
+
+        def recording(gens):
+            drawn.append(tuple(gens))
+            return from_generators(gens)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "from_generators", recording)
+            samples = verifier.sample_arf_closures(
+                100, verifier.CLOSURE_MULTIPLICITIES, verifier.DEFAULT_SEED)
+            assert len(list(samples)) == 100
+        assert len(drawn) >= 100
+        for gens in [*verifier.random_semigroups(1000, verifier.DEFAULT_SEED), *drawn]:
+            sg = from_generators(gens)
+            closure, reference = sg.arf_closure(), _arf_closure_through_generators(sg)
+            assert (closure.generators, closure.apery_table) == (
+                reference.generators, reference.apery_table
+            ), gens
+
+    def test_builds_no_apery_table_by_the_generator_pass(self, monkeypatch):
+        # <m, m + 1> closes to <m, m + 1, ..., 2m - 1>: m minimal generators, so a
+        # round-robin pass over them would take O(m^2)
+        m = 10**5
+        sg = from_generators([m, m + 1])
+
+        def refuse(gens):
+            raise AssertionError("the closure went through the round-robin pass")
+
+        monkeypatch.setattr(semigroup, "_round_robin", refuse)
+        closure = sg.arf_closure()
+        assert closure.generators == tuple(range(m, 2 * m))
+        assert closure.is_arf() and not sg.is_arf()
 
     @given(gen_sets(max_value=25, max_size=4))
     @settings(max_examples=30, deadline=None)

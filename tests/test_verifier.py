@@ -247,10 +247,11 @@ class TestClaims:
         assert builds and len(builds) == len(set(builds))
 
     def test_interleaved_claims_match_claims_run_alone(self):
-        # claims that share an instance share its check result, which none may change
+        # claims that share an instance share its check result, which none may change;
+        # a repeated id runs once
         ids = ["Props3.1-3.12", "Prop3.12", "Conj5.3", "Thm5.4.1", "Thm5.6", "Thm5.6"]
         together = verify_all(QUICK, ids)
-        assert together == [verify_claim(cid, QUICK) for cid in ids]
+        assert together == [verify_claim(cid, QUICK) for cid in ids[:-1]]
 
     def test_counterexample_locations(self, monkeypatch):
         def fail(sg, spec):
