@@ -209,7 +209,7 @@ def cmd_generic(args, argv) -> int:
     ]
     witness: dict | str
     if verdict.generic:
-        witness = "all criteria passed"
+        witness = verdict.describe()
     elif verdict.nonunique is not None:
         f, m1, m2 = verdict.nonunique
         witness = {"pf_element": f, "matrices": [m1, m2]}

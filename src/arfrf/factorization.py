@@ -3,16 +3,15 @@
 The enumerator loops over the multiples of every generator but the two
 smallest, and solves those two as a linear congruence, so each remainder
 that has a solution yields its vectors with no failed trial. Its companion
-counter is an independent coin-counting dynamic program used to cross-check
-it.
+counter is an independent coin-counting dynamic program that fills the
+denumerants of every value up to a bound in one table, so one call
+cross-checks the enumerator at any number of values.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from typing import Iterator, Sequence
-
-from .semigroup import NumericalSemigroup
 
 
 def _remainders(gens: Sequence[int], order: list[int], rem: int, coeffs: list[int]) -> Iterator[int]:
@@ -74,17 +73,18 @@ def factorization_vectors(gens: Sequence[int], value: int) -> list[tuple[int, ..
     return out
 
 
-def count_factorizations(sg: NumericalSemigroup, value: int) -> int:
-    """Denumerant of ``value`` by an independent dynamic program.
+def count_factorizations(gens: Sequence[int], top: int) -> list[int]:
+    """The denumerants of 0..``top`` over ``gens`` by an independent dynamic
+    program: ``ways[n]`` is the number of factorizations of n.
 
     Deliberately shares no code with the enumerator so the two can vouch for
     each other in tests.
     """
-    if value < 0:
-        raise ValueError(f"cannot count factorizations of a negative value: {value}")
-    ways = [0] * (value + 1)
+    if top < 0:
+        raise ValueError(f"cannot count factorizations of a negative value: {top}")
+    ways = [0] * (top + 1)
     ways[0] = 1
-    for g in sg.generators:
-        for v in range(g, value + 1):
+    for g in gens:
+        for v in range(g, top + 1):
             ways[v] += ways[v - g]
-    return ways[value]
+    return ways

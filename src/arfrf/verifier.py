@@ -148,32 +148,29 @@ def cofactor_determinant(rows) -> int:
 # configuration and fixtures
 
 
-# field: (least, most) a VerifyConfig accepts, None for no bound; below least
+# field: (default, least, most) in field order, None for no bound; below least
 # is a ValueError, above most is GridTooLarge. The closure sampler can draw
-# only 1,207 closures, so closure_samples stops at 1,000.
-_BOUNDS = {"s_max": (1, 1_000), "med_s_factor": (1, None), "med_m_min": (2, None),
-           "med_m_max": (None, 16), "closure_samples": (0, 1_000), "oracle_samples": (0, 100_000)}
+# only 1,207 closures, so closure_samples stops at 1,000; med_s_factor stops
+# there too, where the med half of Thm5.2-equiv already takes minutes.
+_CONFIG_FIELDS = {"s_max": (200, 1, 1_000), "med_m_min": (6, 2, None),
+                  "med_m_max": (10, None, 16), "med_s_factor": (10, 1, 1_000),
+                  "closure_samples": (100, 0, 1_000), "oracle_samples": (1000, 0, 100_000),
+                  "seed": (DEFAULT_SEED, None, None), "fixtures_path": (None, None, None)}
 
 
-# field: default, in field order
-_CONFIG_DEFAULTS = {"s_max": 200, "med_m_min": 6, "med_m_max": 10, "med_s_factor": 10,
-                    "closure_samples": 100, "oracle_samples": 1000, "seed": DEFAULT_SEED,
-                    "fixtures_path": None}
-
-
-class VerifyConfig(namedtuple("VerifyConfig", _CONFIG_DEFAULTS,
-                              defaults=_CONFIG_DEFAULTS.values())):
-    """Grid bounds and seeds for the claim sweeps, checked against ``_BOUNDS``
+class VerifyConfig(namedtuple("VerifyConfig", _CONFIG_FIELDS,
+                              defaults=[default for default, _, _ in _CONFIG_FIELDS.values()])):
+    """Grid bounds and seeds for the claim sweeps, checked against ``_CONFIG_FIELDS``
     on construction. Every field but ``fixtures_path`` is an integer."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, (least, _) in _BOUNDS.items():
+        for name, (_, least, _) in _CONFIG_FIELDS.items():
             if least is not None and getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}; got {getattr(self, name)}")
-        for name, (_, most) in _BOUNDS.items():
+        for name, (_, _, most) in _CONFIG_FIELDS.items():
             if most is not None and getattr(self, name) > most:
                 cap = "grid cap" if name == "s_max" else "the cap"
                 raise GridTooLarge(f"{name} {getattr(self, name)} exceeds {cap} {most}")
@@ -523,8 +520,10 @@ def _check_oracles(sg, spec):
     probe_values = {0, 1, sg.multiplicity, sg.conductor, sg.conductor + 1, *probes}
     if sg.frobenius > 0:
         probe_values.add(sg.frobenius)
-    for n in sorted(v for v in probe_values if v <= VALUE_CAP):
-        if len(factorization_vectors(sg.generators, n)) != count_factorizations(sg, n):
+    values = sorted(v for v in probe_values if v <= VALUE_CAP)
+    ways = count_factorizations(sg.generators, values[-1])  # one table for every probe
+    for n in values:
+        if len(factorization_vectors(sg.generators, n)) != ways[n]:
             problems.append({"problem": f"factorization count differs at {n}"})
             break
     if pf and sg.embedding_dimension <= 5:

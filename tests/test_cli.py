@@ -415,6 +415,7 @@ class TestVerifyCommand:
         [
             (["--claim", "Prop3.1", "--claim", "Cor3.13", "--s-max", "-5"], None, 4),
             (["--claim", "Lemma4.1"], "med_s_factor = 0", 4),
+            (["--claim", "Lemma4.1"], "med_s_factor = 1001", 4),
             (["--claim", "Lemma4.1"], "med_m_min = 1", 4),
             (["--claim", "Remark4.4", "--samples", "0", "--m-max", "5"], None, 1),
             ([], "claims = OracleAgreement\noracle_samples = 0", 1),
@@ -437,6 +438,9 @@ class TestVerifyCommand:
             capsys, "verify", *args, "--report-dir", str(tmp_path / "r")
         )
         assert code == expected
+        if expected == 4:  # one error line, and no report written
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "r").exists()
         if expected == 1:
             [report] = [p for p in (tmp_path / "r").iterdir() if p.name != "summary.json"]
             doc = json.loads(report.read_text())

@@ -91,6 +91,8 @@ class TestEnumeration:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             factorization_vectors(from_generators([2, 5]).generators, -1)
+        with pytest.raises(ValueError):
+            count_factorizations((2, 5), -1)
 
     def test_cost_follows_the_large_generators(self):
         # 10,000 vectors, but a search with 2 outermost would try each of
@@ -183,16 +185,18 @@ class TestOrder:
 
 class TestCounting:
     def test_examples(self):
-        sg = from_generators([2, 5])
-        assert count_factorizations(sg, 10) == 2
-        assert count_factorizations(sg, 0) == 1
-        assert count_factorizations(sg, 3) == 0
+        ways = count_factorizations((2, 5), 10)
+        assert len(ways) == 11
+        assert (ways[10], ways[0], ways[3]) == (2, 1, 0)
+        assert count_factorizations((2, 5), 0) == [1]
 
     @given(gen_sets(max_value=30, max_size=5), st.integers(0, 200))
     @settings(max_examples=80, deadline=None)
     def test_counter_matches_enumerator(self, gens, value):
-        sg = from_generators(gens)
-        assert len(factorization_vectors(sg.generators, value)) == count_factorizations(sg, value)
+        """One table holds the denumerant of every v <= value."""
+        gens = from_generators(gens).generators
+        ways = count_factorizations(gens, value)
+        assert ways == [len(factorization_vectors(gens, v)) for v in range(value + 1)]
 
     @given(gen_sets(max_value=30, max_size=5), st.integers(0, 150))
     @settings(max_examples=60, deadline=None)

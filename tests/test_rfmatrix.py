@@ -65,7 +65,7 @@ class TestEnumeration:
             for n in sg.generators:
                 # coordinate i of a factorization of f + n_i is always 0
                 # (f is not in S), so the plain denumerant counts row candidates
-                product *= count_factorizations(sg, f + n)
+                product *= count_factorizations(sg.generators, f + n)[f + n]
             assert product == rf_matrix_count(sg, f)
 
     def test_worked_example_first_row(self):

@@ -149,6 +149,9 @@ class TestClaims:
     def test_grid_cap(self):
         with pytest.raises(GridTooLarge):
             verify_claim("Prop3.1", VerifyConfig(s_max=5000))
+        with pytest.raises(GridTooLarge, match="med_s_factor 1001 exceeds the cap 1000"):
+            VerifyConfig(med_s_factor=1001)
+        assert VerifyConfig(med_s_factor=1000).med_s_factor == 1000
 
     def test_closure_samples_capped_below_the_draw_space(self):
         # sample_arf_closures can draw only 1,207 distinct closures, so
@@ -633,6 +636,20 @@ def test_golden_default_suite_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert_reports_match(tmp_path, Path(__file__).parent / "data" / "golden_default")
+
+
+def test_denumerant_table_built_once_per_oracle_sample(monkeypatch):
+    """OracleAgreement reads every probe of a sample off one counting table."""
+    tops, count = [], verifier.count_factorizations
+
+    def counted(gens, top):
+        tops.append(top)
+        return count(gens, top)
+
+    monkeypatch.setattr(verifier, "count_factorizations", counted)
+    [report] = verify_all(QUICK, ["OracleAgreement"])
+    assert report["status"] == "pass"
+    assert len(tops) == report["checked"] == QUICK.oracle_samples
 
 
 def test_pseudo_frobenius_computed_once_per_instance(monkeypatch):
