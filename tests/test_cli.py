@@ -415,7 +415,6 @@ class TestVerifyCommand:
         [
             (["--claim", "Prop3.1", "--claim", "Cor3.13", "--s-max", "-5"], None, 4),
             (["--claim", "Lemma4.1"], "med_s_factor = 0", 4),
-            (["--claim", "Lemma4.1"], "med_s_factor = 1001", 4),
             (["--claim", "Lemma4.1"], "med_m_min = 1", 4),
             (["--claim", "Remark4.4", "--samples", "0", "--m-max", "5"], None, 1),
             ([], "claims = OracleAgreement\noracle_samples = 0", 1),
@@ -425,6 +424,7 @@ class TestVerifyCommand:
             ([], "claims = ,", 4),
             (["--claim", "Prop3.1"], "grid_cap = 5000", 4),
             (["--claim", "Prop3.1"], "families = all", 4),
+            (["--claim", "Lemma4.1"], "med_s_factor = 1001", 4),
         ],
     )
     def test_empty_or_invalid_grid_never_passes(
