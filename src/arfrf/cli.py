@@ -17,7 +17,11 @@ Exit codes:
      oversized grid, unreadable or malformed fixtures file, unusable report
      directory or report file)
   5  RF enumeration exceeds the --max-rf safety cap
+  74  stdout could not be written (`arfrf ... > /dev/full`)
   141  stdout closed before the output was written (`arfrf ... | head`)
+
+Each command returns its exit code, payload and text lines; ``main`` alone
+writes them and maps every failure to its exit code.
 """
 
 from __future__ import annotations
@@ -32,13 +36,8 @@ import sys
 from pathlib import Path
 
 from . import verifier
-from .errors import (
-    ArfrfError,
-    GridTooLarge,
-    NotPseudoFrobenius,
-    TooManyMatrices,
-    UnknownClaim,
-)
+from .errors import ArfrfError, NotPseudoFrobenius, TooManyMatrices
+from .intmat import product_determinants
 from .lattice import (
     first_row_differences,
     is_generic,
@@ -56,6 +55,7 @@ from .rfmatrix import (
     iter_rf_matrices,
     rf_matrices,
     rf_matrix_count,
+    rf_rows,
     sign_target,
 )
 from .semigroup import NumericalSemigroup, from_generators
@@ -86,17 +86,6 @@ def render_binomial(binomial) -> str:
 def format_matrix(rows) -> list[str]:
     width = max(len(str(x)) for row in rows for x in row)
     return ["  ".join(f"{x:>{width}}" for x in row) for row in rows]
-
-
-def _emit(argv, payload, fmt: str, lines: list[str]) -> None:
-    """Print the output document {schema_version, command, payload} as JSON,
-    or its text rendering ``lines``."""
-    if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": argv, "payload": payload}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +135,12 @@ def _check_cap(sg: NumericalSemigroup, f: int, cap: int | None) -> None:
         raise TooManyMatrices(count, cap)
 
 
-def cmd_analyze(args, argv) -> int:
-    sg = from_generators(args.generators)
-    payload = semigroup_payload(sg)
-    _emit(argv, payload, args.format, semigroup_lines(payload))
-    return 0
+def cmd_analyze(args) -> tuple[int, dict, list[str]]:
+    payload = semigroup_payload(from_generators(args.generators))
+    return 0, payload, semigroup_lines(payload)
 
 
-def cmd_rf(args, argv) -> int:
+def cmd_rf(args) -> tuple[int, dict, list[str]]:
     sg = from_generators(args.generators)
     pf = sg.pseudo_frobenius()
     targets = [args.pf] if args.pf is not None else list(pf)
@@ -167,7 +154,7 @@ def cmd_rf(args, argv) -> int:
             _check_cap(sg, f, args.max_rf)
             matrices = block["matrices"] = rf_matrices(sg, f)
             if args.dets:
-                block["determinants"] = [determinant(M) for M in matrices]
+                block["determinants"] = list(product_determinants(rf_rows(sg, f)))
             for idx, M in enumerate(matrices):
                 suffix = f"   det = {block['determinants'][idx]}" if args.dets else ""
                 lines.append(f"  matrix {idx + 1}{suffix}")
@@ -195,45 +182,32 @@ def cmd_rf(args, argv) -> int:
                 f"sign-exact witness (target {payload['sign_target']}): "
                 f"{'found' if sign_found else 'absent'}"
             )
-    _emit(argv, payload, args.format, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_generic(args, argv) -> int:
+def cmd_generic(args) -> tuple[int, dict, list[str]]:
     sg = from_generators(args.generators)
     verdict = is_generic(sg)
-    lines = [
-        f"S = {sg}",
-        f"generic: {'yes' if verdict.generic else 'no'}",
-        f"witness: {verdict.describe()}",
-    ]
-    witness: dict | str
-    if verdict.generic:
-        witness = verdict.describe()
-    elif verdict.nonunique is not None:
+    witness: dict | str = verdict.describe()
+    lines = [f"S = {sg}", f"generic: {'yes' if verdict.generic else 'no'}", f"witness: {witness}"]
+    if verdict.nonunique is not None:
         f, m1, m2 = verdict.nonunique
         witness = {"pf_element": f, "matrices": [m1, m2]}
         for m in (m1, m2):
             lines.extend("  " + row for row in format_matrix(m))
             lines.append("")
-    else:
+    elif verdict.column_clash is not None:
         f, matrix, i, i2, j = verdict.column_clash
         witness = {"pf_element": f, "matrix": matrix, "rows": [i + 1, i2 + 1], "column": j + 1}
         lines.extend("  " + row for row in format_matrix(matrix))
-    payload = {
-        "generators": list(sg.generators),
-        "generic": verdict.generic,
-        "witness": witness,
-    }
-    _emit(argv, payload, args.format, lines)
-    return 0 if verdict.generic else 1
+    payload = {"generators": list(sg.generators), "generic": verdict.generic, "witness": witness}
+    return 0 if verdict.generic else 1, payload, lines
 
 
-def cmd_relations(args, argv) -> int:
+def cmd_relations(args) -> tuple[int, dict, list[str]]:
     sg = from_generators(args.generators)
     if not sg.pseudo_frobenius():
-        print("error: no pseudo-Frobenius numbers (S covers all of N)", file=sys.stderr)
-        return 3
+        raise NotPseudoFrobenius(None, ())
     frob = sg.frobenius
     _check_cap(sg, frob, args.max_rf)
     witness = find_frobenius_det_witness(sg)
@@ -284,11 +258,10 @@ def cmd_relations(args, argv) -> int:
     lines.append(f"V(S) basis: {list(V)}")
     lines.append(f"W(S) basis: {list(W)}")
     lines.append(f"[V(S) : W(S)] = {payload['index']}")
-    _emit(argv, payload, args.format, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_closure(args, argv) -> int:
+def cmd_closure(args) -> tuple[int, dict, list[str]]:
     sg = from_generators(args.generators)
     closure = sg.arf_closure()
     # the closure keeps the multiplicity m: class i mod m gains w_C(i), w_C(i) + m, ..., w_S(i) - m
@@ -307,57 +280,52 @@ def cmd_closure(args, argv) -> int:
         f"added elements below the conductor: {added or '-'}",
     ]
     lines.extend(semigroup_lines(payload["closure"]))
-    _emit(argv, payload, args.format, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_verify(args, argv) -> int:
-    report_dir = Path(args.report_dir)
+def _config_settings(path: str) -> dict:
+    """The settings of the config file at ``path``; a file that cannot be read or
+    parsed raises ValueError naming it a config error."""
     try:
-        settings: dict = {}
-        if args.suite is not None:
-            if args.suite not in verifier.SUITES:
-                raise ValueError(
-                    f"unknown suite {args.suite!r}; known: {sorted(verifier.SUITES)}"
-                )
-            settings.update(verifier.SUITES[args.suite])
-        if args.config is not None:
-            try:
-                settings.update(verifier.parse_config_text(Path(args.config).read_text()))
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"cannot read config: {exc}") from exc
-        claim_ids = settings.pop("claims", None)  # VerifyConfig takes no claims
-        settings.update((key, value) for key, value in vars(args).items()
-                        if key in verifier._CONFIG_INT_KEYS and value is not None)
-        config = verifier.VerifyConfig(**settings)
-        claim_ids, _ = verifier.check_request(config, args.claim or claim_ids)
-        targets = {cid: report_dir / f"{cid}.json" for cid in claim_ids}
-        summary_path = report_dir / "summary.json"
-        for path in [*targets.values(), summary_path]:
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
-        report_dir.mkdir(parents=True, exist_ok=True)
-        reports = verifier.verify_all(config, claim_ids)
-        ok = verifier.aggregate_ok(reports)
-        summary = {
-            "config": {key: getattr(config, key) for key in verifier._CONFIG_INT_KEYS},
-            "claims": [{key: r[key] for key in ("claim_id", "status", "checked")}
-                       for r in reports],
-            "ok": ok,
-        }
-        for report in reports:
-            targets[report["claim_id"]].write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n")
-        summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    except (OSError, UnknownClaim, GridTooLarge, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return verifier.parse_config_text(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+
+
+def cmd_verify(args) -> tuple[int, dict, list[str]]:
+    report_dir = Path(args.report_dir)
+    settings: dict = {}
+    if args.suite is not None:
+        if args.suite not in verifier.SUITES:
+            raise ValueError(f"unknown suite {args.suite!r}; known: {sorted(verifier.SUITES)}")
+        settings.update(verifier.SUITES[args.suite])
+    if args.config is not None:
+        settings.update(_config_settings(args.config))
+    claim_ids = settings.pop("claims", None)  # VerifyConfig takes no claims
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in verifier._CONFIG_INT_KEYS and value is not None)
+    config = verifier.VerifyConfig(**settings)
+    claim_ids, _ = verifier.check_request(config, args.claim or claim_ids)
+    targets = {cid: report_dir / f"{cid}.json" for cid in claim_ids}
+    summary_path = report_dir / "summary.json"
+    for path in [*targets.values(), summary_path]:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    report_dir.mkdir(parents=True, exist_ok=True)
+    reports = verifier.verify_all(config, claim_ids)
+    ok = verifier.aggregate_ok(reports)
+    summary = {
+        "config": {key: getattr(config, key) for key in verifier._CONFIG_INT_KEYS},
+        "claims": [{key: r[key] for key in ("claim_id", "status", "checked")} for r in reports],
+        "ok": ok,
+    }
+    for report in reports:
+        targets[report["claim_id"]].write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     lines = [f"{r['claim_id']:20s} {r['status']:24s} checked={r['checked']}" for r in reports]
     lines.append(f"reports written to {report_dir}")
     lines.append("result: " + ("ok" if ok else "FAIL"))
-    payload = {"summary": summary, "report_dir": str(report_dir)}
-    _emit(argv, payload, args.format, lines)
-    return 0 if ok else 1
+    return 0 if ok else 1, {"summary": summary, "report_dir": str(report_dir)}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +404,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    verify = args.command == "verify"  # its config, request and report errors all exit 4
+    caught = (ValueError, ArfrfError, OSError) if verify else (ValueError, ArfrfError)
     try:
         # looked up by name on each call, so a wrapper set on a cmd_* binding runs
-        return globals()[f"cmd_{args.command}"](args, argv)
-    except BrokenPipeError:
-        # the reader is gone: send the rest, and the flush at exit, to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except (ValueError, ArfrfError) as exc:
+        code, payload, lines = globals()[f"cmd_{args.command}"](args)
+    except caught as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return {NotPseudoFrobenius: 3, TooManyMatrices: 5}.get(type(exc), 2)
+        return 4 if verify else {NotPseudoFrobenius: 3, TooManyMatrices: 5}.get(type(exc), 2)
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": argv, "payload": payload}
+        lines = [json.dumps(doc, sort_keys=True)]
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()  # here, so that a write error is not left to the flush at exit
+    except OSError as exc:
+        # send the rest, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader is gone
+            return 141
+        print(f"error: {exc}", file=sys.stderr)
+        return 74
+    return code
 
 
 if __name__ == "__main__":

@@ -15,10 +15,12 @@ class NotNumerical(ArfrfError):
 
 
 class NotPseudoFrobenius(ArfrfError):
-    """The requested integer is not a pseudo-Frobenius number of the semigroup."""
+    """The requested integer is not a pseudo-Frobenius number of the semigroup;
+    ``value`` None: the semigroup is N, which has none."""
 
     def __init__(self, value, pf):
-        super().__init__(f"{value} is not a pseudo-Frobenius number; PF = {list(pf)}")
+        super().__init__("no pseudo-Frobenius numbers (S covers all of N)" if value is None
+                         else f"{value} is not a pseudo-Frobenius number; PF = {list(pf)}")
 
 
 class InvalidFamily(ArfrfError):

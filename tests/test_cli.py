@@ -11,10 +11,11 @@ import pytest
 
 from arfrf import cli, families, rfmatrix, verifier
 from arfrf.cli import build_parser, main, render_binomial, render_monomial
-from arfrf.rfmatrix import rf_row_choices
-from arfrf.semigroup import MAX_MULTIPLICITY
+from arfrf.rfmatrix import determinant, rf_matrices, rf_row_choices
+from arfrf.semigroup import MAX_MULTIPLICITY, from_generators
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +156,16 @@ class TestRF:
         assert doc["payload"]["det_witness_value"] == -3
         assert doc["payload"]["sign_target"] == -3
         assert doc["payload"]["sign_witness_found"] is True
+
+    def test_dets_follow_the_listed_matrices(self, capsys):
+        # the determinants come from one walk of the product tree, in listing order
+        gens = ["10", *map(str, range(31, 40))]
+        code, doc, _ = run_json(capsys, "rf", *gens, "--pf", "29", "--dets")
+        assert code == 0
+        matrices = rf_matrices(from_generators(map(int, gens)), 29)
+        [block] = doc["payload"]["rf"]
+        assert len(matrices) == block["count"] == 2880
+        assert block["determinants"] == [determinant(M) for M in matrices]
 
 
 class TestGeneric:
@@ -568,9 +579,27 @@ def test_wrapper_set_after_the_first_call_runs(capsys, monkeypatch, tmp_path):
     seen = []
     unwrapped = cli.cmd_verify
     monkeypatch.setattr(cli, "cmd_verify",
-                        lambda args, argv: seen.append(argv) or unwrapped(args, argv))
+                        lambda args: seen.append(args.report_dir) or unwrapped(args))
     assert main([*argv, str(tmp_path / "b")]) == 0
-    assert seen == [[*argv, str(tmp_path / "b")]]
+    assert seen == [str(tmp_path / "b")]
+
+
+def test_commands_return_their_document_and_write_nothing(capsys, tmp_path):
+    # main alone writes: each cmd_* returns (exit code, payload, text lines)
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    examples = [line.split("#")[0].split()[1:] for line in section.split("\n## ", 1)[0].splitlines()
+                if line.startswith("arfrf ") and "<" not in line]
+    last = {argv[0]: argv for argv in examples}  # one per command; the last verify is quick
+    assert sorted(last) == sorted(name[4:] for name in vars(cli) if name.startswith("cmd_"))
+    for command, argv in last.items():
+        if command == "verify":
+            argv = [*argv, "--report-dir", str(tmp_path)]
+        result = getattr(cli, f"cmd_{command}")(build_parser().parse_args(argv))
+        assert isinstance(result, tuple) and len(result) == 3
+        code, payload, lines = result
+        assert code in (0, 1)  # the README's `generic` example is not generic
+        assert isinstance(payload, dict) and all(isinstance(line, str) for line in lines)
+        assert capsys.readouterr().out == ""
 
 
 def test_module_entrypoint_subprocess(tmp_path):
@@ -690,3 +719,24 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=30) == 141
     assert (tmp_path / "stderr").read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["generic 3 4 5", "verify --claim Cor4.3"])
+def test_failed_stdout_write_exits_74_without_traceback(tmp_path, command, fmt):
+    # /dev/full refuses every write with ENOSPC; stdout stays block-buffered, as by
+    # default, so the error comes from the flush in main, not from the one at exit
+    argv = [*command.split(), "--format", fmt]
+    if command.startswith("verify"):
+        argv += ["--report-dir", str(tmp_path / "r")]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "arfrf", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 74
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    if command.startswith("verify"):
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["Cor4.3.json", "summary.json"]
+        golden = ROOT / "tests" / "data" / "golden_default" / "Cor4.3.json"
+        assert (tmp_path / "r" / "Cor4.3.json").read_bytes() == golden.read_bytes()

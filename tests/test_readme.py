@@ -9,6 +9,8 @@ import ast
 import re
 from pathlib import Path
 
+from arfrf import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -36,3 +38,13 @@ def test_library_block_values():
         checked += 1
     assert checked == source.count("#")
     assert checked > 0
+
+
+def test_exit_codes_match_the_cli_docstring():
+    # the README table and the module docstring of arfrf.cli list the same codes
+    table = README.read_text(encoding="utf-8").split("\n### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    readme_codes = set(re.findall(r"^\| (\d+) \|", table, re.MULTILINE))
+    docstring = cli.__doc__.split("Exit codes:\n", 1)[1]
+    cli_codes = set(re.findall(r"^  (\d+)  ", docstring, re.MULTILINE))
+    assert readme_codes == cli_codes
+    assert {"0", "74", "141"} <= cli_codes
