@@ -27,8 +27,10 @@ writes them and maps every failure to its exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
+import io
 import itertools
 import json
 import os
@@ -401,20 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
-    verify = args.command == "verify"  # its config, request and report errors all exit 4
-    caught = (ValueError, ArfrfError, OSError) if verify else (ValueError, ArfrfError)
-    try:
-        # looked up by name on each call, so a wrapper set on a cmd_* binding runs
-        code, payload, lines = globals()[f"cmd_{args.command}"](args)
-    except caught as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4 if verify else {NotPseudoFrobenius: 3, TooManyMatrices: 5}.get(type(exc), 2)
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": argv, "payload": payload}
-        lines = [json.dumps(doc, sort_keys=True)]
+def _write(lines) -> int:
+    """Print ``lines`` and flush stdout: 0, or the exit code of a failed write."""
     try:
         for line in lines:
             print(line)
@@ -426,7 +416,30 @@ def main(argv=None) -> int:
             return 141
         print(f"error: {exc}", file=sys.stderr)
         return 74
-    return code
+    return 0
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:  # what --help prints is kept, and written below like any output
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        if stop.code:  # a usage error, already on stderr
+            raise
+        return _write(shown.getvalue().splitlines())
+    verify = args.command == "verify"  # its config, request and report errors all exit 4
+    caught = (ValueError, ArfrfError, OSError) if verify else (ValueError, ArfrfError)
+    try:
+        # looked up by name on each call, so a wrapper set on a cmd_* binding runs
+        code, payload, lines = globals()[f"cmd_{args.command}"](args)
+    except caught as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4 if verify else {NotPseudoFrobenius: 3, TooManyMatrices: 5}.get(type(exc), 2)
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": argv, "payload": payload}
+        lines = [json.dumps(doc, sort_keys=True)]
+    return _write(lines) or code
 
 
 if __name__ == "__main__":

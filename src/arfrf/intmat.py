@@ -3,8 +3,6 @@ Bareiss above), the determinants of a Cartesian product of row choices along
 its product tree, Hermite forms and coordinates in a Hermite basis.
 
 Everything here works on plain Python ints (arbitrary precision); no floats.
-Kernels need no routine of their own: ``lattice.kernel_lattice`` reads V(S)
-off one Hermite form.
 """
 
 from __future__ import annotations

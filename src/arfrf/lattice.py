@@ -3,19 +3,20 @@ and the genericity test for the defining toric ideal.
 
 A lattice is its canonical Hermite basis, the tuple of row tuples that
 ``hermite_normal_form`` returns, so two lattices are equal iff their bases
-are. V(S) is read off one Hermite form, that of the rows (n_i, e_i), which
-span {(degree(x), x)}. [V(S) : W(S)] has one recipe: ``lattice_coordinates``
-reduces an RF matrix's first-row differences a_1 - a_j, which span W(S) at any
-rank, against V(S)'s Hermite basis, and ``lattice_index`` is |det| of that
-square matrix; a caller can reduce each vector once and reuse it. W(S)'s own
-basis and the pairwise row differences are built only where ``arfrf
-relations`` prints them. An RF matrix is a tuple of row tuples; W(S) and the
-relations read only its rows, so they take no semigroup.
+are. V(S)'s basis, in that form too, is written down from the gcd chain of
+the generators. [V(S) : W(S)] has one recipe: ``lattice_coordinates`` reduces
+an RF matrix's first-row differences a_1 - a_j, which span W(S) at any rank,
+against V(S)'s Hermite basis, and ``lattice_index`` is |det| of that square
+matrix; a caller can reduce each vector once and reuse it. W(S)'s own basis
+and the pairwise row differences are built only where ``arfrf relations``
+prints them. An RF matrix is a tuple of row tuples; W(S) and the relations
+read only its rows, so they take no semigroup.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSublattice
@@ -39,18 +40,24 @@ Binomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def kernel_lattice(sg: NumericalSemigroup) -> Basis:
-    """V(S): the full integer kernel of the degree map, rank e - 1, in Hermite form.
-
-    The rows (n_i, e_i) span {(degree(x), x)}; as gcd(n_i) = 1, their Hermite
-    form has a first row starting with 1 and later rows starting with 0. The
-    later rows, without that 0, span every integer vector of degree 0.
+    """V(S), the integer kernel of the degree map, in Hermite form. With the gcd chain
+    g_j = gcd(n_j, ..., n_{e-1}), 0-based, g_0 = 1, row j < e - 1 has its pivot
+    g_{j+1} / g_j, the least positive x_j of a kernel vector zero before column j.
+    Each later pivot column k takes the one x in [0, g_{k+1} / g_k) that leaves the
+    degree t still owed divisible by g_{k+1}; the last column closes it, t / n_{e-1}.
     """
-    e = sg.embedding_dimension
-    first, *rest = hermite_normal_form(
-        [(n, *(int(i == j) for j in range(e))) for i, n in enumerate(sg.generators)], e + 1)
-    basis = tuple(row[1:] for row in rest)
-    assert first[0] == 1 and len(basis) == e - 1
-    return basis
+    gens = sg.generators
+    chain = [*accumulate(reversed(gens), gcd)][::-1]
+    basis = []
+    for j in range(len(gens) - 1):
+        pivot = chain[j + 1] // chain[j]
+        row, owed = [0] * j + [pivot], -pivot * gens[j]
+        for k in range(j + 1, len(gens) - 1):
+            g, p = chain[k], chain[k + 1] // chain[k]
+            row.append(owed // g * pow(gens[k] // g, -1, p) % p)  # pow(_, -1, 1) == 0
+            owed -= row[-1] * gens[k]
+        basis.append((*row, owed // gens[-1]))
+    return tuple(basis)
 
 
 def first_row_differences(matrix: Matrix) -> list[tuple[int, ...]]:

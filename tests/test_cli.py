@@ -740,3 +740,36 @@ def test_failed_stdout_write_exits_74_without_traceback(tmp_path, command, fmt):
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["Cor4.3.json", "summary.json"]
         golden = ROOT / "tests" / "data" / "golden_default" / "Cor4.3.json"
         assert (tmp_path / "r" / "Cor4.3.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["--help", "rf --help"])
+def test_help_goes_through_the_write_path(capsys, monkeypatch, command, unbuffered):
+    # argparse prints the help and exits 0; main keeps the text and writes it, so a
+    # failed write is main's to report, block-buffered or not
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width here and in the child
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env = dict(env, PYTHONPATH=SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+
+    def run(stdout):
+        return subprocess.run([sys.executable, "-m", "arfrf", *command.split()], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+
+    with open("/dev/full", "wb") as full:
+        proc = run(full)
+    assert proc.returncode == 74
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the help is written
+    try:
+        proc = run(write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    proc = run(subprocess.PIPE)
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(command.split())
+    assert stop.value.code == 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()

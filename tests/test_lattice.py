@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arfrf.lattice
-from arfrf import verifier
+from arfrf import families, verifier
 from arfrf.errors import DimensionMismatch, NotSublattice
 from arfrf.intmat import (
     bareiss_determinant,
@@ -76,7 +76,38 @@ def _maximal_minor_gcd(basis, dim):
     return reduce(gcd, minors)
 
 
+def _kernel_by_hermite_reduction(sg):
+    """The former recipe for V(S), kept as the oracle of the gcd-chain basis: the
+    rows (n_i, e_i) span {(degree(x), x)}, and as gcd(n_i) = 1 the rows of their
+    Hermite form after the first, without their leading 0, are V(S)."""
+    e = sg.embedding_dimension
+    first, *rest = hermite_normal_form(
+        [(n, *(int(i == j) for j in range(e))) for i, n in enumerate(sg.generators)], e + 1)
+    assert first[0] == 1 and all(row[0] == 0 for row in rest)
+    return tuple(row[1:] for row in rest)
+
+
 class TestKernelLattice:
+    def test_matches_hermite_reduction_on_default_grid(self):
+        # every multiplicity <= 5 variant up to s = 200, and every med shape
+        # m = 6..10 with s = m..10m
+        sources = [*families.M_LE_5_VARIANTS, "med"]
+        instances = 0
+        for _, sg, _, _ in verifier._instances(VerifyConfig(), sources):
+            assert kernel_lattice(sg) == _kernel_by_hermite_reduction(sg)
+            instances += 1
+        assert instances == 3066
+
+    @given(gen_sets(max_value=300, max_size=7))
+    @example((6, 10, 15))  # gcd chain 1, 5, 15: pivots 5 and 3
+    @example((4, 6, 9))  # gcd chain 1, 3, 9: pivots 3 and 3
+    @example((1,))  # S = N: V(S) has rank 0
+    @example((101, 100003))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_hermite_reduction(self, gens):
+        sg = from_generators(gens)
+        assert kernel_lattice(sg) == _kernel_by_hermite_reduction(sg)
+
     def test_rank_one_cases(self):
         assert kernel_lattice(from_generators([2, 5])) == ((5, -2),)
         assert kernel_lattice(from_generators([2, 3])) == ((3, -2),)
