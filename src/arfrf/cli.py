@@ -421,7 +421,7 @@ def _write(lines) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:  # what --help prints is kept, and written below like any output
+    try:  # what --help prints is kept, for _write to write like any output
         with contextlib.redirect_stdout(io.StringIO()) as shown:
             args = build_parser().parse_args(argv)
     except SystemExit as stop:

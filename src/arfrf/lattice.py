@@ -40,8 +40,9 @@ Binomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def kernel_lattice(sg: NumericalSemigroup) -> Basis:
-    """V(S), the integer kernel of the degree map, in Hermite form. With the gcd chain
-    g_j = gcd(n_j, ..., n_{e-1}), 0-based, g_0 = 1, row j < e - 1 has its pivot
+    """V(S), the integer kernel of the degree map, in Hermite form, from the gcd chain.
+
+    With g_j = gcd(n_j, ..., n_{e-1}), 0-based (g_0 = 1), row j < e - 1 has its pivot
     g_{j+1} / g_j, the least positive x_j of a kernel vector zero before column j.
     Each later pivot column k takes the one x in [0, g_{k+1} / g_k) that leaves the
     degree t still owed divisible by g_{k+1}; the last column closes it, t / n_{e-1}.

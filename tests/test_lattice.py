@@ -77,8 +77,8 @@ def _maximal_minor_gcd(basis, dim):
 
 
 def _kernel_by_hermite_reduction(sg):
-    """The former recipe for V(S), kept as the oracle of the gcd-chain basis: the
-    rows (n_i, e_i) span {(degree(x), x)}, and as gcd(n_i) = 1 the rows of their
+    """V(S) by one Hermite reduction, the oracle of the gcd-chain basis: the rows
+    (n_i, e_i) span {(degree(x), x)}, and as gcd(n_i) = 1 the rows of their
     Hermite form after the first, without their leading 0, are V(S)."""
     e = sg.embedding_dimension
     first, *rest = hermite_normal_form(
