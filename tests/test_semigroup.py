@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from functools import reduce
 from math import gcd
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arfrf import semigroup, verifier
+from arfrf import families, semigroup, verifier
 from arfrf.errors import NotNumerical
 from arfrf.semigroup import NumericalSemigroup, from_generators
-from arfrf.verifier import _reach_table, oracle_membership, oracle_pf
+from arfrf.verifier import VerifyConfig, _reach_table, oracle_membership, oracle_pf
 
 
 def gen_sets(max_value=40, max_size=5):
@@ -96,6 +97,12 @@ class TestConstruction:
             from_generators([0, 3])
         with pytest.raises(ValueError):
             from_generators([])
+
+    @pytest.mark.parametrize("gens", [[2.5, 3], [4.0, 6, 9], ["4", 6, 9]])
+    def test_rejects_non_integral_generators(self, gens):
+        # int() would truncate 2.5 to 2 and parse "4"; no generator is converted
+        with pytest.raises(TypeError):
+            from_generators(gens)
 
 
 class TestRecordSemantics:
@@ -222,6 +229,42 @@ class TestPseudoFrobenius:
         m = sg.multiplicity
         for f in range(-m - 1, sg.frobenius + m + 2):
             assert sg.is_pseudo_frobenius(f) == (f in pf), f
+
+
+class TestAperyRules:
+    """PF(S) and MED as ``pseudo_frobenius`` and ``is_med`` read them, held to
+    the definition and to the Apéry characterization."""
+
+    @staticmethod
+    def _pf_by_definition(sg):
+        return tuple(f for f in range(1, sg.frobenius + 1) if sg.is_pseudo_frobenius(f))
+
+    @staticmethod
+    def _med_by_apery(sg):
+        # MED iff the nonzero Apéry entries are the generators other than m
+        return set(sg.apery_table) == {0, *sg.generators[1:]}
+
+    def test_match_their_definitions_on_the_default_grid(self):
+        # every multiplicity <= 5 variant up to s = 200, every med shape m = 6..10
+        # with s = m..10m, the 100 Arf-closure samples and the 1,000 random sets,
+        # at seed 1729; and S = N, where 0 is the only Apéry entry
+        sources = [*families.M_LE_5_VARIANTS, "med", "closure", "random"]
+        walked = verifier._instances(VerifyConfig(seed=1729), sources)
+        counts = Counter()
+        for source, sg in [*((source, sg) for source, sg, _, _ in walked),
+                           ("naturals", from_generators([1]))]:
+            assert sg.pseudo_frobenius() == self._pf_by_definition(sg), sg
+            assert sg.is_med() == self._med_by_apery(sg), sg
+            counts["family" if source in families.M_LE_5_VARIANTS + ("med",) else source] += 1
+        assert counts == {"family": 3066, "closure": 100, "random": 1000, "naturals": 1}
+
+    def test_at_scale(self):
+        # <a, a + 1> is symmetric with Frobenius number ab - a - b; m = 10**5 is far
+        # above the default grid, and its e = 2 is far below m
+        a, b = 10**5, 10**5 + 1
+        sg = from_generators([a, b])
+        assert sg.pseudo_frobenius() == (a * b - a - b,)
+        assert not sg.is_med() and not self._med_by_apery(sg)
 
 
 class TestMedArf:

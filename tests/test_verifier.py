@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import sys
@@ -653,23 +654,27 @@ def test_denumerant_table_built_once_per_oracle_sample(monkeypatch):
 
 
 def test_pseudo_frobenius_computed_once_per_instance(monkeypatch):
-    """PF(S) tests its m Apéry candidates once per walked instance, and no
-    reader re-tests an f it took from PF(S)."""
-    walked, callers, calls = [], [], {}
-    walk, test = verifier._instances, NumericalSemigroup.is_pseudo_frobenius
+    """PF(S) is computed at most once per walked instance, and every later call
+    reads ``pf_cache``; the sweep never re-tests an f with the definition."""
+    walked, computed, tested = [], [], []
+    walk, pf = verifier._instances, NumericalSemigroup.pseudo_frobenius
 
     def recorded_walk(config, readers):
         for instance in walk(config, readers):
             walked.append(instance[1])
             yield instance
 
-    def counted(sg, f):
-        callers.append(sg)  # kept alive, so no other semigroup reuses its id
-        calls[id(sg)] = calls.get(id(sg), 0) + 1
-        return test(sg, f)
+    def counted(sg):
+        if sg.pf_cache is None:
+            computed.append(sg)  # kept alive, so no other semigroup reuses its id
+        return pf(sg)
 
     monkeypatch.setattr(verifier, "_instances", recorded_walk)
-    monkeypatch.setattr(NumericalSemigroup, "is_pseudo_frobenius", counted)
+    monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", counted)
+    monkeypatch.setattr(NumericalSemigroup, "is_pseudo_frobenius",
+                        lambda sg, f: tested.append((sg, f)))
     verify_all(QUICK)
-    assert walked
-    assert [sg for sg in walked if calls.get(id(sg), 0) > sg.multiplicity] == []
+    assert walked and computed
+    computations = collections.Counter(map(id, computed))
+    assert [sg for sg in walked if computations[id(sg)] > 1] == []
+    assert tested == []
