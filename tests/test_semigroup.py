@@ -236,35 +236,31 @@ class TestAperyRules:
     the definition and to the Apéry characterization."""
 
     @staticmethod
-    def _pf_by_definition(sg):
-        return tuple(f for f in range(1, sg.frobenius + 1) if sg.is_pseudo_frobenius(f))
-
-    @staticmethod
-    def _med_by_apery(sg):
+    def _assert_rules_hold(sg):
+        pf = tuple(f for f in range(1, sg.frobenius + 1) if sg.is_pseudo_frobenius(f))
+        assert sg.pseudo_frobenius() == pf, sg
         # MED iff the nonzero Apéry entries are the generators other than m
-        return set(sg.apery_table) == {0, *sg.generators[1:]}
+        assert sg.is_med() == (set(sg.apery_table) == {0, *sg.generators[1:]}), sg
 
     def test_match_their_definitions_on_the_default_grid(self):
         # every multiplicity <= 5 variant up to s = 200, every med shape m = 6..10
         # with s = m..10m, the 100 Arf-closure samples and the 1,000 random sets,
-        # at seed 1729; and S = N, where 0 is the only Apéry entry
+        # at seed 1729
         sources = [*families.M_LE_5_VARIANTS, "med", "closure", "random"]
-        walked = verifier._instances(VerifyConfig(seed=1729), sources)
         counts = Counter()
-        for source, sg in [*((source, sg) for source, sg, _, _ in walked),
-                           ("naturals", from_generators([1]))]:
-            assert sg.pseudo_frobenius() == self._pf_by_definition(sg), sg
-            assert sg.is_med() == self._med_by_apery(sg), sg
-            counts["family" if source in families.M_LE_5_VARIANTS + ("med",) else source] += 1
-        assert counts == {"family": 3066, "closure": 100, "random": 1000, "naturals": 1}
+        for source, sg, _, _ in verifier._instances(VerifyConfig(seed=1729), sources):
+            self._assert_rules_hold(sg)
+            counts[source if source in ("closure", "random") else "family"] += 1
+        assert counts == {"family": 3066, "closure": 100, "random": 1000}
+        self._assert_rules_hold(from_generators([1]))  # S = N: 0 is the only Apéry entry
 
     def test_at_scale(self):
-        # <a, a + 1> is symmetric with Frobenius number ab - a - b; m = 10**5 is far
-        # above the default grid, and its e = 2 is far below m
+        # <a, a + 1> is symmetric with Frobenius number ab - a - b, far above the
+        # default grid; its e = 2 is far below m
         a, b = 10**5, 10**5 + 1
         sg = from_generators([a, b])
         assert sg.pseudo_frobenius() == (a * b - a - b,)
-        assert not sg.is_med() and not self._med_by_apery(sg)
+        assert not sg.is_med()
 
 
 class TestMedArf:
